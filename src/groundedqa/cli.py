@@ -360,15 +360,8 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     vocab = _load_vocab(os.path.join(os.path.dirname(cfg.checkpoint),
                                      "vocab.txt"))
     for rec in _select_records(corpus, cfg):
-        pack = packs[rec.image_id]
-        q_tokens = vocab.encode(datamodel.tokenize(rec.question))
-        state = qamodel.encode(pack, q_tokens, params, mc, cfg.mode)
-        trace = list(state.trace)
-        if rec.kind == "telling":
-            a_tokens = vocab.encode(datamodel.tokenize(rec.answer))
-            _, caches, _ = qamodel._decode_telling(state, a_tokens, params,
-                                                   cfg.mode)
-            trace += [st["a"] for st in caches]
+        trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
+                                        vocab, mc, cfg.mode)
         width, height = corpus.image_dims(rec.image_id)
         heatmap = evalkit.attention_heatmap(trace, width, height)
         evalkit.export_heatmap_image(

@@ -17,15 +17,6 @@ class NumericsError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # split by sign so exp never overflows; dtype preserved so callers can
     # evaluate in extended precision
@@ -155,8 +146,3 @@ def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
                 result.worst_index = i
         result.per_param[name] = worst
     return result
-
-
-def assert_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericsError(f"non-finite values in {what}")

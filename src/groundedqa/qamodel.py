@@ -5,10 +5,17 @@ hand-written backpropagation for the fixed architecture.
 
 The uniform attention mode pins every attention weight to 1/cells, which
 recovers the plain LSTM baseline.
+
+The four gates share stacked weights: rows [k*h, (k+1)*h) of `Wv`, `Wh`,
+`Wr` and `b_gates` belong to gate GATES[k]. One forward pass serves
+training, prediction and heat maps. It computes the attention projection
+of the conv map and the input projection of every step once per sequence,
+outside the time loop, and backward turns the per-step gate gradients into
+one GEMM per weight.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +26,9 @@ from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
 LEARNED = "learned"
 UNIFORM = "uniform"
 
-_GATES = ("i", "f", "o", "g")
+GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
+_STACKED = ("Wv", "Wh", "Wr")
+END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
 
 
 @dataclass
@@ -40,32 +49,38 @@ class ModelConfig:
 def param_shapes(cfg: ModelConfig) -> dict:
     h, da, v = cfg.hidden, cfg.d_a, cfg.vocab_size
     ch, ft = cfg.conv_channels, cfg.feat_dim
-    shapes = {
+    return {
         "W_img": (h, ft), "b_img": (h,),
         "W_word": (h, v),
         "W_he": (da, h), "W_ce": (da, ch), "w_a": (da,), "b_a": (1,),
+        "Wv": (4 * h, h), "Wh": (4 * h, h), "Wr": (4 * h, ch),
+        "b_gates": (4 * h,),
         "W_out": (v, h), "b_out": (v,),
         "W_ptr": (h, ft), "b_ptr": (h,),
     }
-    for x in _GATES:
-        shapes[f"Wv_{x}"] = (h, h)
-        shapes[f"Wh_{x}"] = (h, h)
-        shapes[f"Wr_{x}"] = (h, ch)
-        shapes[f"b_{x}"] = (h,)
-    return shapes
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
-    """Uniform[-s, s] weights with s = 1/sqrt(fan_in); zero biases."""
+    """
+    Uniform[-s, s] weights with s = 1/sqrt(fan_in); zero biases. Each gate
+    block of a stacked weight is drawn on its own, with its own fan-in, in
+    the sorted order of the per-gate names (Wh_f, Wh_g, Wh_i, ...), so a
+    seed gives the same weights as a model with one tensor per gate.
+    """
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in sorted(param_shapes(cfg).items()):
-        if name.startswith("b"):
-            params[name] = np.zeros(shape)
-        else:
-            fan_in = shape[-1] if len(shape) > 1 else shape[0]
-            s = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-s, s, size=shape)
+    h = cfg.hidden
+    params = {name: np.zeros(shape)
+              for name, shape in param_shapes(cfg).items()}
+    blocks = {name: arr for name, arr in params.items()
+              if not name.startswith("b")}
+    for name in _STACKED:
+        stacked = blocks.pop(name)
+        for k, x in enumerate(GATES):
+            blocks[f"{name}_{x}"] = stacked[k * h:(k + 1) * h]
+    for name in sorted(blocks):
+        block = blocks[name]
+        s = 1.0 / np.sqrt(block.shape[-1])
+        block[...] = rng.uniform(-s, s, size=block.shape)
     return params
 
 
@@ -81,74 +96,117 @@ def zero_grads(cfg: ModelConfig) -> dict:
 
 def attention_step(h_prev, conv_map, params, mode=LEARNED):
     """Attention weights over conv cells and the context vector they select."""
-    a, r, _, _ = _attention_fwd(h_prev, conv_map, params, mode)
-    return a, r
-
-
-def _attention_fwd(h_prev, conv_map, params, mode):
-    cells = conv_map.shape[0]
     if mode == UNIFORM:
-        a = np.full(cells, 1.0 / cells)
-        r = conv_map.mean(axis=0)
-        return a, r, None, None
+        return _uniform_attention(conv_map)
     if params["W_he"].shape[1] != h_prev.shape[0]:
         raise DimensionError(
             f"W_he {params['W_he'].shape} vs h {h_prev.shape}")
-    if params["W_ce"].shape[1] != conv_map.shape[1]:
+    a, r, _ = _attend(h_prev, conv_map, _project(conv_map, params), params)
+    return a, r
+
+
+def _uniform_attention(conv):
+    cells = conv.shape[0]
+    return np.full(cells, 1.0 / cells), conv.mean(axis=0)
+
+
+def _project(conv, params):
+    """The image side of the attention score, conv @ W_ce.T: (cells, d_a)."""
+    if params["W_ce"].shape[1] != conv.shape[1]:
         raise DimensionError(
-            f"W_ce {params['W_ce'].shape} vs conv map {conv_map.shape}")
-    z = params["W_he"] @ h_prev + conv_map @ params["W_ce"].T  # (cells, d_a)
-    u = np.tanh(z)
-    e = u @ params["w_a"] + params["b_a"][0]
-    a = softmax_stable(e)
-    r = a @ conv_map
-    return a, r, u, e
+            f"W_ce {params['W_ce'].shape} vs conv map {conv.shape}")
+    return conv @ params["W_ce"].T
+
+
+def _attend(h_prev, conv, proj, params):
+    u = np.tanh(proj + params["W_he"] @ h_prev)  # (cells, d_a)
+    a = softmax_stable(u @ params["w_a"] + params["b_a"][0])
+    return a, a @ conv, u
 
 
 def lstm_step(v, h_prev, c_prev, r, params):
     """One gated cell update; returns (h, c)."""
-    h, c, _ = _lstm_fwd(v, h_prev, c_prev, r, params)
+    if v.shape != h_prev.shape:
+        raise DimensionError(f"input {v.shape} vs hidden {h_prev.shape}")
+    pre = (params["Wv"] @ v + params["Wh"] @ h_prev + params["Wr"] @ r
+           + params["b_gates"])
+    h, c, _ = _cell(pre, c_prev)
     return h, c
 
 
-def _lstm_fwd(v, h_prev, c_prev, r, params):
-    if v.shape != h_prev.shape:
-        raise DimensionError(f"input {v.shape} vs hidden {h_prev.shape}")
-    pre = {}
-    for x in _GATES:
-        pre[x] = (params[f"Wv_{x}"] @ v + params[f"Wh_{x}"] @ h_prev
-                  + params[f"Wr_{x}"] @ r + params[f"b_{x}"])
-    gi, gf, go = sigmoid(pre["i"]), sigmoid(pre["f"]), sigmoid(pre["o"])
-    gg = np.tanh(pre["g"])
+def _cell(pre, c_prev):
+    """Stacked gate pre-activations -> (h, c, activated gates)."""
+    n = c_prev.shape[0]
+    gates = np.empty_like(pre)
+    gates[:3 * n] = sigmoid(pre[:3 * n])
+    gates[3 * n:] = np.tanh(pre[3 * n:])
+    gi, gf, go, gg = gates.reshape(4, n)
     c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
-    gates = {"i": gi, "f": gf, "o": go, "g": gg}
-    return h, c, gates
+    return go * np.tanh(c), c, gates
 
 
-def _run_steps(params, conv, inputs, mode, h0=None, c0=None):
+@dataclass
+class _Pass:
+    """One run of the cell over a sequence; row t of each array is step t."""
+    feat: np.ndarray  # image feature read at step 0, or None
+    tokens: np.ndarray  # token ids read after it
+    proj: np.ndarray  # conv @ W_ce.T, or None in uniform mode
+    V: np.ndarray  # (T, h) cell inputs
+    H: np.ndarray  # (T + 1, h) hidden states; H[0] is the initial one
+    C: np.ndarray  # (T + 1, h) cell states
+    G: np.ndarray  # (T, 4h) activated gates
+    A: np.ndarray  # (T, cells) attention weights
+    R: np.ndarray  # (T, channels) attended contexts
+    U: np.ndarray  # (T, cells, d_a) attention tanh, kept only for backward
+
+
+def _forward(params, conv, tokens, mode, feat=None, h0=None, c0=None,
+             proj=None, keep_cache=False):
     """
-    Feed a list of ("image", feature) / ("token", index) inputs through the
-    cell, caching everything the backward pass needs.
+    Run the cell over the image feature `feat` (when given), then `tokens`,
+    from the state (h0, c0) or zeros. `proj` is the attention projection of
+    `conv` if the caller already has it. Buffers take the params' dtype, so
+    the pass can run in extended precision.
     """
-    h = np.zeros_like(params["b_i"]) if h0 is None else h0
-    c = np.zeros_like(h) if c0 is None else c0
-    caches = []
-    for kind, value in inputs:
-        if kind == "image":
-            v = params["W_img"] @ value + params["b_img"]
-        else:
-            if not 0 <= value < params["W_word"].shape[1]:
-                raise IndexError(f"token index {value} out of vocabulary "
-                                 f"range {params['W_word'].shape[1]}")
-            v = params["W_word"][:, value].copy()
-        a, r, u, _ = _attention_fwd(h, conv, params, mode)
-        h_new, c_new, gates = _lstm_fwd(v, h, c, r, params)
-        caches.append({"kind": kind, "value": value, "v": v, "h_prev": h,
-                       "c_prev": c, "a": a, "r": r, "u": u,
-                       "gates": gates, "h": h_new, "c": c_new})
-        h, c = h_new, c_new
-    return h, c, caches
+    W_word = params["W_word"]
+    toks = np.asarray(tokens, dtype=np.intp)
+    bad = toks[(toks < 0) | (toks >= W_word.shape[1])]
+    if bad.size:
+        raise IndexError(f"token index {bad[0]} out of vocabulary "
+                         f"range {W_word.shape[1]}")
+    V = W_word[:, toks].T
+    if feat is not None:
+        V = np.vstack([params["W_img"] @ feat + params["b_img"], V])
+    T, n = V.shape
+    dtype = V.dtype
+    Wh, Wr = params["Wh"], params["Wr"]
+    X = V @ params["Wv"].T + params["b_gates"]  # input side of every step
+    H = np.zeros((T + 1, n), dtype)
+    C = np.zeros((T + 1, n), dtype)
+    if h0 is not None:
+        H[0], C[0] = h0, c0
+    G = np.empty((T, 4 * n), dtype)
+    A = np.empty((T, conv.shape[0]), dtype)
+    R = np.empty((T, conv.shape[1]), dtype)
+    U = None
+    if mode == UNIFORM:
+        A[:], R[:] = _uniform_attention(conv)
+        X += Wr @ R[0]  # the context never changes
+    else:
+        if proj is None:
+            proj = _project(conv, params)
+        if keep_cache:
+            U = np.empty((T,) + proj.shape, dtype)
+    for t in range(T):
+        pre = X[t] + Wh @ H[t]
+        if mode == LEARNED:
+            A[t], R[t], u = _attend(H[t], conv, proj, params)
+            if U is not None:
+                U[t] = u
+            pre += Wr @ R[t]
+        H[t + 1], C[t + 1], G[t] = _cell(pre, C[t])
+    return _Pass(feat=feat, tokens=toks, proj=proj, V=V, H=H, C=C, G=G,
+                 A=A, R=R, U=U)
 
 
 @dataclass
@@ -158,6 +216,7 @@ class EncoderState:
     trace: list  # one attention vector per consumed input
     conv: np.ndarray = None
     mode: str = LEARNED
+    proj: np.ndarray = None  # conv @ W_ce.T, shared by every decoded answer
 
 
 def slice_pack(pack, cfg: ModelConfig):
@@ -173,10 +232,18 @@ def region_feature(pack, grounding_id, cfg: ModelConfig):
 def encode(pack, question_tokens, params, cfg, mode=LEARNED) -> EncoderState:
     """Read the image then the question tokens; record the attention trace."""
     feat, conv = slice_pack(pack, cfg)
-    inputs = [("image", feat)] + [("token", t) for t in question_tokens]
-    h, c, caches = _run_steps(params, conv, inputs, mode)
-    return EncoderState(h=h, c=c, trace=[st["a"] for st in caches],
-                        conv=conv, mode=mode)
+    run = _forward(params, conv, question_tokens, mode, feat=feat)
+    return EncoderState(h=run.H[-1], c=run.C[-1], trace=list(run.A),
+                        conv=conv, mode=mode, proj=run.proj)
+
+
+def _answer_head(params, hs, targets):
+    """Vocabulary softmax at each row of hs -> (probs, log p(target))."""
+    logits = hs @ params["W_out"].T + params["b_out"]
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    picked = probs[np.arange(len(targets)), targets]
+    return probs, np.log(np.maximum(picked, 1e-12))
 
 
 def telling_answer_loglik(state: EncoderState, answer_tokens, params,
@@ -185,28 +252,13 @@ def telling_answer_loglik(state: EncoderState, answer_tokens, params,
     Sum of log-probabilities of the answer tokens plus the end token, with
     the decoder continuing the same attended cell. No length normalization.
     """
-    loglik, _, _ = _decode_telling(state, answer_tokens, params,
-                                   state.mode if mode is None else mode)
-    return loglik
-
-
-def _decode_telling(state, answer_tokens, params, mode):
     if not answer_tokens:
         raise ValueError("empty answer sequence")
-    end_index = 1  # datamodel reserves index 1 for END_ANSWER
-    h, c = state.h, state.c
-    inputs = [("token", t) for t in answer_tokens]
-    _, _, caches = _run_steps(params, state.conv, inputs, mode,
-                              h0=h, c0=c)
-    hs = [h] + [st["h"] for st in caches]
-    targets = list(answer_tokens) + [end_index]
-    loglik = 0.0
-    probs_list = []
-    for h_t, target in zip(hs, targets):
-        probs = softmax_stable(params["W_out"] @ h_t + params["b_out"])
-        loglik += float(np.log(max(probs[target], 1e-12)))
-        probs_list.append(probs)
-    return loglik, caches, probs_list
+    mode = state.mode if mode is None else mode
+    run = _forward(params, state.conv, answer_tokens, mode, h0=state.h,
+                   c0=state.c, proj=state.proj)
+    _, logp = _answer_head(params, run.H, list(answer_tokens) + [END_INDEX])
+    return float(logp.sum())
 
 
 def pointing_candidate_score(state: EncoderState, region_feat, params) -> float:
@@ -237,142 +289,150 @@ def predict_mc(record, pack, params, vocab, cfg, mode=LEARNED):
     return best, scores
 
 
+def attention_trace(record, pack, params, vocab, cfg, mode=LEARNED) -> list:
+    """
+    One attention vector per step while the model reads the image, the
+    question and, for a telling record, its correct answer.
+    """
+    tokens = vocab.encode(datamodel.tokenize(record.question))
+    if record.kind == "telling":
+        tokens += vocab.encode(datamodel.tokenize(record.answer))
+    feat, conv = slice_pack(pack, cfg)
+    return list(_forward(params, conv, tokens, mode, feat=feat).A)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
 
 
-def _backward_steps(params, cfg, conv, caches, dh_acc, mode,
-                    grads, dh_final=None, dc_final=None):
+def _backward(params, conv, run, dH, mode, grads):
     """
-    Backpropagate through a cached run of _run_steps. dh_acc maps step index
-    to a gradient injected at that step's hidden state (from output heads).
-    Returns the gradient flowing into (h0, c0).
+    Backpropagate through a `_forward` pass made with keep_cache, adding
+    into `grads`. dH[t] is the gradient the output heads inject at step t's
+    hidden state. Only the recurrence runs step by step: each weight
+    gradient is one GEMM over the (T, 4h) stack of gate gradients, and the
+    attention terms are summed over the steps before their GEMMs.
     """
-    T = len(caches)
-    dh_next = np.zeros(cfg.hidden) if dh_final is None else dh_final.copy()
-    dc_next = np.zeros(cfg.hidden) if dc_final is None else dc_final.copy()
+    G, n = run.G, run.H.shape[1]
+    T = G.shape[0]
+    gi, gf, go, gg = np.split(G, 4, axis=1)
+    tc = np.tanh(run.C[1:])
+    dc_dh = go * (1 - tc * tc)
+    # gate pre-activation gradient = (dc, dc, dh, dc) blocks * dz_scale
+    dz_scale = np.hstack([gg * gi * (1 - gi), run.C[:-1] * gf * (1 - gf),
+                          tc * go * (1 - go), gi * (1 - gg * gg)])
+    DZ = np.empty_like(G)
+    learned = mode == LEARNED
+    if learned:
+        w_a, W_he, Wr = params["w_a"], params["W_he"], params["Wr"]
+        Q = 1 - run.U * run.U  # tanh derivative at every attention step
+        DE = np.empty_like(run.A)
+        S = np.empty((T, w_a.shape[0]), G.dtype)
+    dh_next = np.zeros(n, G.dtype)
+    dc = np.zeros(n, G.dtype)
     for t in range(T - 1, -1, -1):
-        st = caches[t]
-        dh = dh_next + dh_acc.get(t, 0.0)
-        dc = dc_next.copy()
-        gi, gf, go, gg = (st["gates"][x] for x in _GATES)
-        tc = np.tanh(st["c"])
-        do = dh * tc
-        dc += dh * go * (1 - tc * tc)
-        df = dc * st["c_prev"]
-        dc_prev = dc * gf
-        di = dc * gg
-        dg = dc * gi
-        dz = {"i": di * gi * (1 - gi), "f": df * gf * (1 - gf),
-              "o": do * go * (1 - go), "g": dg * (1 - gg * gg)}
-        dv = np.zeros(cfg.hidden)
-        dh_prev = np.zeros(cfg.hidden)
-        dr = np.zeros(cfg.conv_channels)
-        for x in _GATES:
-            grads[f"Wv_{x}"] += np.outer(dz[x], st["v"])
-            grads[f"Wh_{x}"] += np.outer(dz[x], st["h_prev"])
-            grads[f"Wr_{x}"] += np.outer(dz[x], st["r"])
-            grads[f"b_{x}"] += dz[x]
-            dv += params[f"Wv_{x}"].T @ dz[x]
-            dh_prev += params[f"Wh_{x}"].T @ dz[x]
-            dr += params[f"Wr_{x}"].T @ dz[x]
-        if mode == LEARNED:
-            a, u = st["a"], st["u"]
-            da = conv @ dr
-            de = a * (da - float(a @ da))
-            grads["b_a"][0] += de.sum()
-            grads["w_a"] += u.T @ de
-            dz_att = np.outer(de, params["w_a"]) * (1 - u * u)
-            grads["W_ce"] += dz_att.T @ conv
-            s = dz_att.sum(axis=0)
-            grads["W_he"] += np.outer(s, st["h_prev"])
-            dh_prev += params["W_he"].T @ s
-        # uniform mode: r is a constant mean of conv rows, no params touched
-        if st["kind"] == "image":
-            grads["W_img"] += np.outer(dv, st["value"])
-            grads["b_img"] += dv
-        else:
-            grads["W_word"][:, st["value"]] += dv
-        dh_next = dh_prev
-        dc_next = dc_prev
-    return dh_next, dc_next
+        dh = dh_next + dH[t]
+        dc = dc + dh * dc_dh[t]
+        dz = DZ[t]
+        dz.reshape(4, n)[:] = dc
+        dz[2 * n:3 * n] = dh
+        dz *= dz_scale[t]
+        dc = dc * gf[t]
+        dh_next = dz @ params["Wh"]
+        if learned:
+            a = run.A[t]
+            da = conv @ (dz @ Wr)
+            DE[t] = de = a * (da - a @ da)
+            S[t] = w_a * (de @ Q[t])
+            dh_next += S[t] @ W_he
+    H_prev = run.H[:-1]
+    grads["Wv"] += DZ.T @ run.V
+    grads["Wh"] += DZ.T @ H_prev
+    grads["Wr"] += DZ.T @ run.R
+    grads["b_gates"] += DZ.sum(axis=0)
+    DV = DZ @ params["Wv"]
+    if run.feat is not None:
+        grads["W_img"] += np.outer(DV[0], run.feat)
+        grads["b_img"] += DV[0]
+        DV = DV[1:]
+    # add.at, not +=, so a repeated token gets every one of its steps
+    np.add.at(grads["W_word"].T, run.tokens, DV)
+    if learned:
+        grads["b_a"] += DE.sum()
+        grads["w_a"] += run.U.reshape(-1, w_a.shape[0]).T @ DE.ravel()
+        dz_att = np.einsum("tc,tcd->cd", DE, Q) * w_a
+        grads["W_ce"] += dz_att.T @ conv
+        grads["W_he"] += S.T @ H_prev
 
 
 def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
-                           mode=LEARNED, with_grads=True):
+                           mode=LEARNED, grads=None):
     """
     Mean cross-entropy over the answer-token predictions (answer tokens plus
-    END), with analytic gradients for every parameter.
+    END). With `grads`, adds the analytic gradient of every parameter to it.
     """
     if not a_tokens:
         raise ValueError("empty answer sequence")
     feat, conv = slice_pack(pack, cfg)
-    end_index = 1
-    inputs = ([("image", feat)] + [("token", t) for t in q_tokens]
-              + [("token", t) for t in a_tokens])
-    _, _, caches = _run_steps(params, conv, inputs, mode)
-    m = len(q_tokens)
-    n = len(a_tokens)
-    targets = list(a_tokens) + [end_index]
-    grads = zero_grads(cfg) if with_grads else None
-    dh_acc = {}
-    loss = 0.0
+    m, n = len(q_tokens), len(a_tokens)
+    run = _forward(params, conv, list(q_tokens) + list(a_tokens), mode,
+                   feat=feat, keep_cache=grads is not None)
+    hs = run.H[m + 1:]  # the states after the question and each answer token
+    targets = list(a_tokens) + [END_INDEX]
+    probs, logp = _answer_head(params, hs, targets)
     scale = 1.0 / (n + 1)
-    for k, target in enumerate(targets):
-        t = m + k  # step whose hidden state makes this prediction
-        h_t = caches[t]["h"]
-        probs = softmax_stable(params["W_out"] @ h_t + params["b_out"])
-        loss = loss - scale * np.log(max(probs[target], 1e-12))
-        if not with_grads:
-            continue
-        dlogits = probs * scale
-        dlogits[target] -= scale
-        grads["W_out"] += np.outer(dlogits, h_t)
-        grads["b_out"] += dlogits
-        dh_acc[t] = dh_acc.get(t, 0.0) + params["W_out"].T @ dlogits
-    if not with_grads:
-        return loss, None
-    _backward_steps(params, cfg, conv, caches, dh_acc, mode, grads)
-    return loss, grads
+    loss = -scale * logp.sum()
+    if grads is None:
+        return loss
+    dlogits = probs * scale
+    dlogits[np.arange(n + 1), targets] -= scale
+    grads["W_out"] += dlogits.T @ hs
+    grads["b_out"] += dlogits.sum(axis=0)
+    dH = np.zeros_like(run.H[1:])
+    dH[m:] = dlogits @ params["W_out"]
+    _backward(params, conv, run, dH, mode, grads)
+    return loss
 
 
 def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
-                            target, mode=LEARNED, with_grads=True):
-    """Cross-entropy over the softmax of the 4 candidate scores."""
+                            target, mode=LEARNED, grads=None):
+    """
+    Cross-entropy over the softmax of the 4 candidate scores. With `grads`,
+    adds the analytic gradient of every parameter to it.
+    """
     feat, conv = slice_pack(pack, cfg)
-    inputs = [("image", feat)] + [("token", t) for t in q_tokens]
-    h, _, caches = _run_steps(params, conv, inputs, mode)
-    transformed = [params["W_ptr"] @ f + params["b_ptr"] for f in cand_features]
-    scores = np.array([tv @ h for tv in transformed])
-    probs = softmax_stable(scores)
-    loss = -np.log(max(probs[target], 1e-12))
-    if not with_grads:
-        return loss, None
+    run = _forward(params, conv, q_tokens, mode, feat=feat,
+                   keep_cache=grads is not None)
+    h = run.H[-1]
+    F = np.stack(cand_features)
+    transformed = F @ params["W_ptr"].T + params["b_ptr"]
+    probs = softmax_stable(transformed @ h)
+    loss = -np.log(np.maximum(probs[target], 1e-12))
+    if grads is None:
+        return loss
     ds = probs.copy()
     ds[target] -= 1.0
-    grads = zero_grads(cfg)
-    dh = np.zeros(cfg.hidden)
-    for k, (tv, f) in enumerate(zip(transformed, cand_features)):
-        dh += ds[k] * tv
-        grads["W_ptr"] += ds[k] * np.outer(h, f)
-        grads["b_ptr"] += ds[k] * h
-    _backward_steps(params, cfg, conv, caches, {len(caches) - 1: dh},
-                    mode, grads)
-    return loss, grads
+    grads["W_ptr"] += np.outer(h, ds @ F)
+    grads["b_ptr"] += ds.sum() * h
+    dH = np.zeros_like(run.H[1:])
+    dH[-1] = ds @ transformed
+    _backward(params, conv, run, dH, mode, grads)
+    return loss
 
 
 def record_loss_and_grads(params, cfg, record, pack, vocab, mode=LEARNED,
-                          with_grads=True):
+                          grads=None):
+    """The record's loss; with `grads`, its gradients are added to it."""
     q_tokens = vocab.encode(datamodel.tokenize(record.question))
     if record.kind == "telling":
         a_tokens = vocab.encode(datamodel.tokenize(record.answer))
         return telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
-                                      mode, with_grads)
+                                      mode, grads)
     cands, target = datamodel.mc_candidates(record)
     feats = [region_feature(pack, c, cfg) for c in cands]
     return pointing_loss_and_grads(params, cfg, pack, q_tokens, feats,
-                                   target, mode, with_grads)
+                                   target, mode, grads)
 
 
 def gradcheck_fns(cfg, record, pack, vocab, mode=LEARNED):
@@ -384,12 +444,11 @@ def gradcheck_fns(cfg, record, pack, vocab, mode=LEARNED):
     """
     def loss_fn(p):
         wide = {k: v.astype(np.longdouble) for k, v in p.items()}
-        loss, _ = record_loss_and_grads(wide, cfg, record, pack, vocab,
-                                        mode, with_grads=False)
-        return loss
+        return record_loss_and_grads(wide, cfg, record, pack, vocab, mode)
 
     def grad_fn(p):
-        _, grads = record_loss_and_grads(p, cfg, record, pack, vocab, mode)
+        grads = zero_grads(cfg)
+        record_loss_and_grads(p, cfg, record, pack, vocab, mode, grads)
         return grads
 
     return loss_fn, grad_fn
@@ -421,33 +480,34 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
               for name, p in params.items()}
     rng = np.random.default_rng(train_cfg.seed)
     order = np.arange(len(records))
+    grads = zero_grads(cfg)  # one buffer, zeroed and refilled by each batch
     curve = []
     for epoch in range(train_cfg.epochs):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
-            batch_grads = zero_grads(cfg)
+            for g in grads.values():
+                g.fill(0.0)
             batch_loss = 0.0
             for idx in batch:
                 rec = records[idx]
-                loss, grads = record_loss_and_grads(
+                loss = record_loss_and_grads(
                     params, cfg, rec, packs[rec.image_id], vocab,
-                    train_cfg.mode)
+                    train_cfg.mode, grads)
                 if not np.isfinite(loss):
                     raise NumericsError(
                         f"non-finite loss on {rec.qa_id} "
                         f"(epoch {epoch}, batch at {start})")
                 batch_loss += loss
-                for name in batch_grads:
-                    batch_grads[name] += grads[name]
             inv = 1.0 / len(batch)
-            batch_grads = {k: g * inv for k, g in batch_grads.items()}
+            for g in grads.values():
+                g *= inv
+            step = grads
             if train_cfg.clip_norm is not None:
-                batch_grads = clip_grads_by_norm(batch_grads,
-                                                 train_cfg.clip_norm)
+                step = clip_grads_by_norm(grads, train_cfg.clip_norm)
             for name in sorted(params):
-                params[name] = adam_step(params[name], batch_grads[name],
+                params[name] = adam_step(params[name], step[name],
                                          states[name])
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(order))
@@ -469,7 +529,7 @@ def training_accuracy(records, packs, vocab, params, cfg, mode=LEARNED):
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"V7WM"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _CFG_FIELDS = ("hidden", "d_a", "vocab_size", "conv_cells", "conv_channels",
                "feat_dim")
 
@@ -496,10 +556,10 @@ def save_checkpoint(params, cfg: ModelConfig, path) -> None:
 def load_checkpoint(path):
     from .featurestore import FormatError, _take
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = memoryview(f.read())  # so each chunk is a view, not a copy
     chunk, off = _take(buf, 0, 4, "magic")
     if chunk != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {chunk!r}")
+        raise FormatError(f"bad checkpoint magic {bytes(chunk)!r}")
     chunk, off = _take(buf, off, 2, "version")
     (version,) = struct.unpack("<H", chunk)
     if version != CKPT_VERSION:
@@ -516,7 +576,7 @@ def load_checkpoint(path):
         chunk, off = _take(buf, off, 4, "name length")
         (nlen,) = struct.unpack("<I", chunk)
         chunk, off = _take(buf, off, nlen, "tensor name")
-        name = chunk.decode("utf-8")
+        name = bytes(chunk).decode("utf-8")
         chunk, off = _take(buf, off, 4, "ndim")
         (ndim,) = struct.unpack("<I", chunk)
         shape = []

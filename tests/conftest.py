@@ -33,6 +33,13 @@ def tiny_telling_record():
                     answer="red", distractors=["green", "blue", "yellow"])
 
 
+def tiny_repeat_record():
+    """A telling record that repeats tokens within and across its texts."""
+    return QARecord(qa_id="tt1", image_id="im_t", kind="telling",
+                    category="what", question="what color is it ? is it red ?",
+                    answer="red red", distractors=["green", "blue", "yellow"])
+
+
 def tiny_pointing_record():
     box = BoundingBox(10, 10, 50, 50)
     groundings = [ObjectGrounding(f"g{k}", "thing", box) for k in range(4)]
@@ -42,12 +49,12 @@ def tiny_pointing_record():
                     groundings=groundings)
 
 
-def tiny_packs():
+def tiny_packs(dims=MICRO_DIMS):
     pack_t = featurestore.synth_feature_pack("im_t", seed=2, planted_signal=0,
-                                             **MICRO_DIMS)
+                                             **dims)
     pack_p = featurestore.synth_feature_pack(
         "im_p", seed=2, planted_signal=0, region_ids=[f"g{k}" for k in range(4)],
-        correct_region="g0", **MICRO_DIMS)
+        correct_region="g0", **dims)
     return {"im_t": pack_t, "im_p": pack_p}
 
 

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from groundedqa import cli
+import lstm_reference
+from groundedqa import cli, qamodel
 
 
 def _run(*argv):
@@ -158,6 +159,23 @@ class TestPipeline:
         assert len(pgms) == 6
         with open(out / pgms[0], "rb") as f:
             assert f.read(2) == b"P5"
+
+    def test_v1_checkpoint_is_validation_error(self, world, monkeypatch,
+                                               capsys):
+        run = world["root"] / "run_v1"
+        data = ["--corpus", world["corpus"], "--features", world["features"],
+                "--splits", world["splits"]]
+        assert _run("train", *data, "--epochs", "0", "--out", str(run)) == 0
+        ckpt = run / "model.ckpt"
+        params, mc = qamodel.load_checkpoint(ckpt)
+        with monkeypatch.context() as m:  # version 1 kept one tensor per gate
+            m.setattr(qamodel, "CKPT_VERSION", 1)
+            qamodel.save_checkpoint(lstm_reference.split_gates(params), mc,
+                                    ckpt)
+        capsys.readouterr()
+        assert _run("eval", *data, "--checkpoint", str(ckpt),
+                    "--out", str(world["root"] / "rep_v1")) == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
     def test_missing_corpus_path(self, world, capsys):
         assert _run("stats", "--corpus", "/nonexistent/c.json",

@@ -4,37 +4,8 @@ import numpy as np
 import pytest
 
 from groundedqa.numkit import (AdamState, DimensionError, adam_step,
-                               cross_entropy, finite_diff_grad_check, matmul,
+                               cross_entropy, finite_diff_grad_check,
                                softmax_stable)
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 5))
-        assert np.allclose(matmul(np.eye(3), b), b)
-
-    def test_zero_annihilates(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.all(matmul(a, np.zeros((3, 4))) == 0.0)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                     np.array([[5.0], [6.0]]))
-        # 1*5+2*6 = 17, 3*5+4*6 = 39
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 class TestSoftmax:

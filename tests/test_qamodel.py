@@ -12,8 +12,30 @@ from groundedqa.qamodel import (LEARNED, UNIFORM, ModelConfig, attention_step,
                                 save_checkpoint, telling_answer_loglik,
                                 zero_grads)
 
+import lstm_reference
 from conftest import (MICRO_DIMS, tiny_packs, tiny_pointing_record,
-                      tiny_telling_record, vocab20)
+                      tiny_repeat_record, tiny_telling_record, vocab20)
+
+_ROW_ORDER = "ifog"  # gate order of the rows of the stacked weights
+
+
+def _rows(gate, hidden):
+    k = _ROW_ORDER.index(gate)
+    return slice(k * hidden, (k + 1) * hidden)
+
+
+# a mid shape, every width distinct, beside the micro one
+MID = ModelConfig(hidden=16, d_a=12, vocab_size=20, conv_cells=9,
+                  conv_channels=10, feat_dim=14)
+
+
+def _world(shape):
+    vocab = vocab20()
+    if shape == "micro":
+        return vocab, ModelConfig.micro(vocab.size), tiny_packs()
+    return vocab, MID, tiny_packs(dict(global_dim=MID.feat_dim,
+                                       conv_cells=MID.conv_cells,
+                                       conv_channels=MID.conv_channels))
 
 
 def _sigmoid(x):
@@ -34,10 +56,21 @@ class TestInit:
             if name.startswith("b"):
                 assert np.all(arr == 0.0)
 
+    @pytest.mark.parametrize("shape", ["micro", "mid"])
+    def test_bitwise_equal_to_per_gate_init(self, shape):
+        _, cfg, _ = _world(shape)
+        for seed in (0, 3):
+            expected = lstm_reference.stack_gates(
+                lstm_reference.per_gate_init(cfg, seed))
+            params = init_params(cfg, seed)
+            assert set(params) == set(expected)
+            for name in params:
+                assert np.array_equal(params[name], expected[name]), name
+
     def test_weight_sd_matches_uniform_moments(self):
         cfg = ModelConfig(hidden=512, d_a=512, vocab_size=40)
         params = init_params(cfg, 0)
-        w = params["Wh_i"]
+        w = params["Wh"][_rows("i", 512)]
         s = 1.0 / math.sqrt(512)
         expected_sd = s / math.sqrt(3.0)
         assert abs(w.std() - expected_sd) / expected_sd < 0.05
@@ -99,8 +132,8 @@ class TestLstmStep:
 
     def test_memory_passthrough(self):
         params = self._zero_params()
-        params["b_f"] = np.full(2, 20.0)   # f-gate ~ 1
-        params["b_i"] = np.full(2, -20.0)  # i-gate ~ 0
+        params["b_gates"][_rows("f", 2)] = 20.0   # f-gate ~ 1
+        params["b_gates"][_rows("i", 2)] = -20.0  # i-gate ~ 0
         c_prev = np.array([0.7, -1.2])
         _, c = lstm_step(np.zeros(2), np.zeros(2), c_prev, np.zeros(2),
                          params)
@@ -120,11 +153,12 @@ class TestLstmStep:
         for unit in range(2):
             pre = {}
             for x in ("i", "f", "o", "g"):
-                pre[x] = params[f"b_{x}"][unit]
+                row = _rows(x, 2).start + unit
+                pre[x] = params["b_gates"][row]
                 for k in range(2):
-                    pre[x] += (params[f"Wv_{x}"][unit, k] * v[k]
-                               + params[f"Wh_{x}"][unit, k] * h_prev[k]
-                               + params[f"Wr_{x}"][unit, k] * r[k])
+                    pre[x] += (params["Wv"][row, k] * v[k]
+                               + params["Wh"][row, k] * h_prev[k]
+                               + params["Wr"][row, k] * r[k])
             gi, gf, go = (_sigmoid(pre[x]) for x in ("i", "f", "o"))
             gg = math.tanh(pre["g"])
             c_hand = gf * c_prev[unit] + gi * gg
@@ -377,6 +411,92 @@ class TestGradients:
         loss_fn, grad_fn = qamodel.gradcheck_fns(cfg, rec, pack, vocab)
         res = finite_diff_grad_check(loss_fn, grad_fn, params)
         assert res.max_rel_error < 1e-4, res.worst_param
+
+
+    def test_repeated_tokens_micro_grad_check(self):
+        vocab = vocab20()
+        cfg = ModelConfig.micro(vocab.size)
+        params = init_params(cfg, 13)
+        rec = tiny_repeat_record()
+        pack = tiny_packs()["im_t"]
+        loss_fn, grad_fn = qamodel.gradcheck_fns(cfg, rec, pack, vocab)
+        res = finite_diff_grad_check(loss_fn, grad_fn, params)
+        assert res.max_rel_error < 1e-4, res.worst_param
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_loss_fn_runs_in_extended_precision(self, mode):
+        # a float64 buffer anywhere in the pass costs far more than 10 ulps
+        vocab = vocab20()
+        cfg = ModelConfig.micro(vocab.size)
+        params = init_params(cfg, 12)
+        wide = {k: v.astype(np.longdouble) for k, v in
+                lstm_reference.split_gates(params).items()}
+        packs = tiny_packs()
+        for rec in (tiny_telling_record(), tiny_pointing_record()):
+            pack = packs[rec.image_id]
+            loss_fn, _ = qamodel.gradcheck_fns(cfg, rec, pack, vocab, mode)
+            loss = loss_fn(params)
+            assert isinstance(loss, np.longdouble)
+            ref, _ = lstm_reference.record_loss_and_grads(wide, cfg, rec, pack,
+                                                          vocab, mode)
+            tol = 10 * np.finfo(np.longdouble).eps
+            assert abs(loss - ref) <= tol * abs(ref)
+
+
+class TestReferenceOracle:
+    """The stacked, hoisted core against the per-gate loop reference."""
+
+    # analytically zero (softmax is shift-invariant), so both sides hold
+    # only round-off, which no relative bound can compare
+    ZERO = ("b_a", "b_ptr")
+
+    @pytest.mark.parametrize("shape", ["micro", "mid"])
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    @pytest.mark.parametrize("make_record", [
+        tiny_telling_record, tiny_pointing_record, tiny_repeat_record])
+    def test_loss_and_grads_match(self, shape, mode, make_record):
+        vocab, cfg, packs = _world(shape)
+        rec = make_record()
+        pack = packs[rec.image_id]
+        params = init_params(cfg, 5)
+        grads = zero_grads(cfg)
+        loss = qamodel.record_loss_and_grads(params, cfg, rec, pack, vocab,
+                                             mode, grads)
+        ref_loss, ref_grads = lstm_reference.record_loss_and_grads(
+            lstm_reference.split_gates(params), cfg, rec, pack, vocab, mode)
+        ref_grads = lstm_reference.stack_gates(ref_grads)
+        assert abs(loss - ref_loss) <= 1e-9 * max(abs(ref_loss), 1e-9)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            if name in self.ZERO:
+                assert np.max(np.abs(ref)) < 1e-14, name
+                assert np.max(np.abs(grads[name])) < 1e-14, name
+                continue
+            err = np.max(np.abs(grads[name] - ref)) / max(
+                np.max(np.abs(ref)), 1e-9)
+            assert err <= 1e-9, (name, err)
+
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_attention_trace_matches(self, mode):
+        vocab, cfg, packs = _world("mid")
+        params = init_params(cfg, 6)
+        for rec in (tiny_repeat_record(), tiny_pointing_record()):
+            pack = packs[rec.image_id]
+            trace = qamodel.attention_trace(rec, pack, params, vocab, cfg,
+                                            mode)
+            tokens = vocab.encode(datamodel.tokenize(rec.question))
+            if rec.kind == "telling":
+                tokens += vocab.encode(datamodel.tokenize(rec.answer))
+            feat, conv = qamodel.slice_pack(pack, cfg)
+            _, _, caches = lstm_reference.run_steps(
+                lstm_reference.split_gates(params), conv,
+                [("image", feat)] + [("token", t) for t in tokens], mode)
+            assert len(trace) == len(caches) == 1 + len(tokens)
+            for a, st in zip(trace, caches):
+                assert np.max(np.abs(a - st["a"])) < 1e-12
 
 
 class TestTrain:
