@@ -11,8 +11,6 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import baselines  # noqa: F401  (re-exported for scripted use)
 from . import datamodel, evalkit, featurestore, qamodel, synthdata
 from .numkit import NumericsError, finite_diff_grad_check
@@ -60,13 +58,6 @@ class RunConfig:
     blur: bool = False
 
 
-_FLAG_TYPES = {
-    "splits_seed": int, "hidden": int, "d_a": int, "epochs": int,
-    "batch": int, "seed": int, "n_telling": int, "n_pointing": int,
-    "lr": float, "gold_stub": lambda s: s.lower() in ("1", "true", "yes"),
-    "blur": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
 COMMANDS = ("synth", "split", "train", "eval", "gradcheck", "stats",
             "heatmap")
 
@@ -98,8 +89,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _config_file_flags(path) -> list:
+    """The key=value lines of a config file, as command-line flag tokens."""
+    kinds = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+    flags = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -107,31 +100,32 @@ def _read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in {f.name for f in fields(RunConfig)}:
+            key, _, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            if key not in kinds:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _FLAG_TYPES.get(key, str)(value.strip())
-    return values
+            flag = "--" + key.replace("_", "-")
+            if kinds[key] is not bool:
+                flags.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                flags.append(flag)
+            elif value.lower() not in ("0", "false", "no"):
+                raise UsageError(f"{path}:{lineno}: {key} must be true "
+                                 f"or false, got {value!r}")
+    return flags
 
 
 def parse_config(argv) -> RunConfig:
     """CLI flags override config-file values override defaults."""
     if not argv:
         raise UsageError("no command given; commands: " + ", ".join(COMMANDS))
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    explicit = set()
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-            explicit.add(f.name)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # file values parse like flags given before the real ones
+        args = parser.parse_args(_config_file_flags(args.config) + argv)
+    explicit = {name: value for name, value in vars(args).items()
+                if value is not None and name != "config"}
+    cfg = RunConfig(**explicit)
     _validate_widths(cfg, explicit)
     return cfg
 
@@ -230,13 +224,8 @@ def _cmd_split(cfg: RunConfig) -> int:
     echo = _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
     splits = datamodel.make_splits(corpus, cfg.splits_seed)
-    path = os.path.join(cfg.out, "splits.tsv")
-    with open(path, "w") as f:
-        for line in echo:
-            f.write(f"# {line}\n")
-    with open(path, "a") as f:
-        for qa_id in sorted(splits.assignment):
-            f.write(f"{qa_id}\t{splits.assignment[qa_id]}\n")
+    datamodel.write_splits(splits, os.path.join(cfg.out, "splits.tsv"),
+                           header_lines=echo)
     return EXIT_OK
 
 
@@ -255,24 +244,14 @@ def _cmd_train(cfg: RunConfig) -> int:
                              learning_rate=cfg.lr, seed=cfg.seed,
                              mode=cfg.mode)
     params, curve = qamodel.train(records, packs, vocab, params, mc, tc)
-    qamodel.save_checkpoint(params, mc,
+    qamodel.save_checkpoint(params, mc, vocab,
                             os.path.join(cfg.out, "model.ckpt"))
     with open(os.path.join(cfg.out, "loss_curve.txt"), "w") as f:
         for line in echo:
             f.write(f"# {line}\n")
         for epoch, loss in enumerate(curve):
             f.write(f"{epoch}\t{loss:.10f}\n")
-    with open(os.path.join(cfg.out, "vocab.txt"), "w") as f:
-        f.write("\n".join(vocab.index_to_token) + "\n")
     return EXIT_OK
-
-
-def _load_vocab(path) -> datamodel.Vocabulary:
-    with open(path, "r", encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-    return datamodel.Vocabulary(
-        token_to_index={t: i for i, t in enumerate(tokens)},
-        index_to_token=tokens)
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
@@ -287,9 +266,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
             return target
     else:
         _require(cfg, "checkpoint")
-        params, mc = qamodel.load_checkpoint(cfg.checkpoint)
-        vocab = _load_vocab(os.path.join(os.path.dirname(cfg.checkpoint),
-                                         "vocab.txt"))
+        params, mc, vocab = qamodel.load_checkpoint(cfg.checkpoint)
 
         def predict(rec, pack):
             chosen, _ = qamodel.predict_mc(rec, pack, params, vocab, mc,
@@ -356,9 +333,7 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
     packs = _load_packs(cfg.features)
-    params, mc = qamodel.load_checkpoint(cfg.checkpoint)
-    vocab = _load_vocab(os.path.join(os.path.dirname(cfg.checkpoint),
-                                     "vocab.txt"))
+    params, mc, vocab = qamodel.load_checkpoint(cfg.checkpoint)
     for rec in _select_records(corpus, cfg):
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
                                         vocab, mc, cfg.mode)
@@ -390,8 +365,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         print("commands: " + " | ".join(COMMANDS), file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, datamodel.CorpusError,
-            featurestore.FormatError, ValueError) as e:
+    except (ValidationError, ValueError, OSError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericsError, FloatingPointError) as e:

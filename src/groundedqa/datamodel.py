@@ -222,8 +222,10 @@ def make_splits(corpus: Corpus, seed: int) -> SplitAssignment:
     return SplitAssignment(assignment=assignment, seed=seed)
 
 
-def write_splits(splits: SplitAssignment, path) -> None:
+def write_splits(splits: SplitAssignment, path, header_lines=()) -> None:
     with open(path, "w", encoding="utf-8") as f:
+        for line in header_lines:
+            f.write(f"# {line}\n")
         for qa_id in sorted(splits.assignment):
             f.write(f"{qa_id}\t{splits.assignment[qa_id]}\n")
 
@@ -252,6 +254,10 @@ class Vocabulary:
     token_to_index: dict
     index_to_token: list
 
+    @classmethod
+    def from_tokens(cls, tokens: list) -> "Vocabulary":
+        return cls({t: i for i, t in enumerate(tokens)}, tokens)
+
     @property
     def size(self) -> int:
         return len(self.index_to_token)
@@ -259,10 +265,6 @@ class Vocabulary:
     @property
     def unk_index(self) -> int:
         return self.token_to_index[UNK]
-
-    @property
-    def end_index(self) -> int:
-        return self.token_to_index[END_ANSWER]
 
     def encode(self, tokens) -> list:
         unk = self.unk_index
@@ -284,10 +286,7 @@ def build_vocab(records, min_count: int = 1) -> Vocabulary:
             counts.update(tokenize(rec.answer))
     tokens = sorted((t for t, c in counts.items() if c >= min_count),
                     key=lambda t: (-counts[t], t))
-    index_to_token = [UNK, END_ANSWER] + tokens
-    return Vocabulary(
-        token_to_index={t: i for i, t in enumerate(index_to_token)},
-        index_to_token=index_to_token)
+    return Vocabulary.from_tokens([UNK, END_ANSWER] + tokens)
 
 
 def top_k_answers(records, k: int):

@@ -2,27 +2,25 @@
 Binary feature packs: per-image global descriptor (4096-d), 14x14x512 conv
 map (stored 196x512), and per-region 4096-d descriptors.
 
-File format v1 (little-endian): magic b"V7WF", version u16 = 1, image_id as
-u32-length-prefixed UTF-8, 4096 float32 global, 196*512 float32 conv map
-(row-major), u32 region count, then per region an id string (u32-length-
-prefixed) and 4096 float32. Files always carry full-scale dims; in-memory
-packs may be smaller for desk-scale experiments.
+File format v1, in the `binfmt` container: magic b"V7WF", u16 version 1,
+image_id (u32-length-prefixed UTF-8), 4096 <f4 global feature, 196*512 <f4
+conv map (row-major), u32 region count, then per region its id string and
+4096 <f4. Region ids are unique. Files always carry full-scale dims;
+in-memory packs may be smaller for desk-scale experiments.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import binfmt
+from .binfmt import FormatError
 
 MAGIC = b"V7WF"
 VERSION = 1
 GLOBAL_DIM = 4096
 CONV_CELLS = 196
 CONV_CHANNELS = 512
-
-
-class FormatError(ValueError):
-    """Bad magic, version, or truncated pack file."""
 
 
 @dataclass
@@ -54,64 +52,33 @@ class FeaturePack:
 def write_feature_pack(pack: FeaturePack, path) -> None:
     """Serialize a full-scale pack; write-then-read is the identity."""
     pack.validate(full_scale=True)
-    try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<H", VERSION))
-            iid = pack.image_id.encode("utf-8")
-            f.write(struct.pack("<I", len(iid)))
-            f.write(iid)
-            f.write(pack.global_feature.astype("<f4").tobytes())
-            f.write(pack.conv_map.astype("<f4").tobytes())
-            f.write(struct.pack("<I", len(pack.region_features)))
-            for rid in pack.region_features:
-                rb = rid.encode("utf-8")
-                f.write(struct.pack("<I", len(rb)))
-                f.write(rb)
-                f.write(pack.region_features[rid].astype("<f4").tobytes())
-    except OSError as e:
-        raise IOError(f"cannot write feature pack {path}: {e}") from e
-
-
-def _take(buf: bytes, offset: int, n: int, what: str):
-    if offset + n > len(buf):
-        raise FormatError(
-            f"truncated pack: need {offset + n} bytes for {what}, "
-            f"file has {len(buf)}")
-    return buf[offset:offset + n], offset + n
+    with binfmt.create(path, MAGIC, VERSION) as f:
+        f.write(binfmt.string(pack.image_id))
+        f.write(binfmt.array(pack.global_feature, "<f4"))
+        f.write(binfmt.array(pack.conv_map, "<f4"))
+        f.write(binfmt.u32(len(pack.region_features)))
+        for rid, feat in pack.region_features.items():
+            f.write(binfmt.string(rid))
+            f.write(binfmt.array(feat, "<f4"))
 
 
 def read_feature_pack(path) -> FeaturePack:
-    with open(path, "rb") as f:
-        buf = f.read()
-    chunk, off = _take(buf, 0, 4, "magic")
-    if chunk != MAGIC:
-        raise FormatError(f"bad magic {chunk!r}, expected {MAGIC!r}")
-    chunk, off = _take(buf, off, 2, "version")
-    (version,) = struct.unpack("<H", chunk)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    chunk, off = _take(buf, off, 4, "image_id length")
-    (idlen,) = struct.unpack("<I", chunk)
-    chunk, off = _take(buf, off, idlen, "image_id")
-    image_id = chunk.decode("utf-8")
-    chunk, off = _take(buf, off, GLOBAL_DIM * 4, "global feature")
-    global_feature = np.frombuffer(chunk, dtype="<f4").astype(np.float64)
-    chunk, off = _take(buf, off, CONV_CELLS * CONV_CHANNELS * 4, "conv map")
-    conv_map = np.frombuffer(chunk, dtype="<f4").astype(np.float64)
-    conv_map = conv_map.reshape(CONV_CELLS, CONV_CHANNELS)
-    chunk, off = _take(buf, off, 4, "region count")
-    (n_regions,) = struct.unpack("<I", chunk)
+    r = binfmt.Reader(path, MAGIC, VERSION, "pack")
+    image_id = r.string("image_id")
+    global_feature = r.array("<f4", (GLOBAL_DIM,), "global feature")
+    conv_map = r.array("<f4", (CONV_CELLS, CONV_CHANNELS), "conv map")
     regions = {}
-    for _ in range(n_regions):
-        chunk, off = _take(buf, off, 4, "region id length")
-        (rlen,) = struct.unpack("<I", chunk)
-        chunk, off = _take(buf, off, rlen, "region id")
-        rid = chunk.decode("utf-8")
-        chunk, off = _take(buf, off, GLOBAL_DIM * 4, f"region {rid}")
-        regions[rid] = np.frombuffer(chunk, dtype="<f4").astype(np.float64)
-    pack = FeaturePack(image_id=image_id, global_feature=global_feature,
-                       conv_map=conv_map, region_features=regions)
+    for _ in range(r.u32("region count")):
+        rid = r.string("region id")
+        if rid in regions:
+            raise FormatError(f"pack {image_id}: duplicate region id {rid!r}")
+        regions[rid] = r.array("<f4", (GLOBAL_DIM,), f"region {rid}") \
+            .astype(np.float64)
+    r.end()
+    pack = FeaturePack(image_id=image_id,
+                       global_feature=global_feature.astype(np.float64),
+                       conv_map=conv_map.astype(np.float64),
+                       region_features=regions)
     pack.validate(full_scale=True)
     return pack
 

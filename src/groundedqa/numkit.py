@@ -1,5 +1,5 @@
 """
-Dense float64 math kernels: stable softmax, cross-entropy, Adam, and a
+Dense float64 math kernels: stable softmax, Adam, and a
 central-difference gradient checker. Everything here is a pure function of
 its inputs except AdamState, which is mutated by its single writer.
 """
@@ -40,14 +40,6 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     ex = np.exp(shifted)
     return ex / ex.sum()
-
-
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """-log(probs[target]) with a 1e-12 floor before the log."""
-    probs = np.asarray(probs, dtype=np.float64).ravel()
-    if not 0 <= target < probs.size:
-        raise IndexError(f"target {target} out of range for {probs.size} classes")
-    return float(-np.log(max(probs[target], 1e-12)))
 
 
 @dataclass

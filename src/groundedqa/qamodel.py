@@ -12,14 +12,20 @@ training, prediction and heat maps. It computes the attention projection
 of the conv map and the input projection of every step once per sequence,
 outside the time loop, and backward turns the per-step gate gradients into
 one GEMM per weight.
+
+Checkpoint v3, a `binfmt` container: magic b"V7WM", u16 version 3, the
+`_CFG_FIELDS` as i64, the `vocab_size` tokens in index order (<unk> and
+<end> first, each u32-length-prefixed UTF-8), then every tensor of
+`param_shapes(cfg)` as <f8 in sorted name order. The config fixes every
+name and shape, and the file needs no other file.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import datamodel
+from . import binfmt, datamodel
+from .binfmt import FormatError
 from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
                      clip_grads_by_norm, sigmoid, softmax_stable)
 
@@ -529,64 +535,35 @@ def training_accuracy(records, packs, vocab, params, cfg, mode=LEARNED):
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"V7WM"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 _CFG_FIELDS = ("hidden", "d_a", "vocab_size", "conv_cells", "conv_channels",
                "feat_dim")
 
 
-def save_checkpoint(params, cfg: ModelConfig, path) -> None:
-    """Versioned binary of every tensor; load-then-save is bit-identical."""
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<H", CKPT_VERSION))
+def save_checkpoint(params, cfg: ModelConfig, vocab, path) -> None:
+    """Write the model and its vocabulary; load-then-save is bit-identical."""
+    with binfmt.create(path, CKPT_MAGIC, CKPT_VERSION) as f:
         for name in _CFG_FIELDS:
-            f.write(struct.pack("<q", getattr(cfg, name)))
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            arr = params[name]
-            f.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(binfmt.i64(getattr(cfg, name)))
+        for token in vocab.index_to_token:
+            f.write(binfmt.string(token))
+        for name in sorted(param_shapes(cfg)):
+            f.write(binfmt.array(params[name], "<f8"))
 
 
 def load_checkpoint(path):
-    from .featurestore import FormatError, _take
-    with open(path, "rb") as f:
-        buf = memoryview(f.read())  # so each chunk is a view, not a copy
-    chunk, off = _take(buf, 0, 4, "magic")
-    if chunk != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {bytes(chunk)!r}")
-    chunk, off = _take(buf, off, 2, "version")
-    (version,) = struct.unpack("<H", chunk)
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    cfg_vals = {}
-    for name in _CFG_FIELDS:
-        chunk, off = _take(buf, off, 8, name)
-        (cfg_vals[name],) = struct.unpack("<q", chunk)
-    cfg = ModelConfig(**cfg_vals)
-    chunk, off = _take(buf, off, 4, "tensor count")
-    (count,) = struct.unpack("<I", chunk)
-    params = {}
-    for _ in range(count):
-        chunk, off = _take(buf, off, 4, "name length")
-        (nlen,) = struct.unpack("<I", chunk)
-        chunk, off = _take(buf, off, nlen, "tensor name")
-        name = bytes(chunk).decode("utf-8")
-        chunk, off = _take(buf, off, 4, "ndim")
-        (ndim,) = struct.unpack("<I", chunk)
-        shape = []
-        for _ in range(ndim):
-            chunk, off = _take(buf, off, 4, "dim")
-            shape.append(struct.unpack("<I", chunk)[0])
-        size = int(np.prod(shape)) if shape else 1
-        chunk, off = _take(buf, off, size * 8, f"tensor {name}")
-        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-    expected = param_shapes(cfg)
-    if set(params) != set(expected):
-        raise FormatError("checkpoint tensor set does not match config")
-    return params, cfg
+    """Return (params, cfg, vocab) from a checkpoint file."""
+    r = binfmt.Reader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    sizes = {name: r.i64(name) for name in _CFG_FIELDS}
+    if min(sizes.values()) < 1:
+        raise FormatError(f"checkpoint config has a size below 1: {sizes}")
+    cfg = ModelConfig(**sizes)
+    tokens = [r.string("token") for _ in range(cfg.vocab_size)]
+    if (tokens[:2] != [datamodel.UNK, datamodel.END_ANSWER]
+            or len(set(tokens)) < len(tokens)):
+        raise FormatError("checkpoint vocabulary must start with <unk>, "
+                          "<end> and hold each token once")
+    params = {name: r.array("<f8", shape, f"tensor {name}").copy()
+              for name, shape in sorted(param_shapes(cfg).items())}
+    r.end()
+    return params, cfg, datamodel.Vocabulary.from_tokens(tokens)

@@ -23,8 +23,7 @@ def vocab20():
     tokens = [UNK, END_ANSWER, "what", "color", "is", "it", "?",
               "red", "green", "blue", "yellow", "which", "one"]
     tokens += [f"pad{i}" for i in range(20 - len(tokens))]
-    return Vocabulary(token_to_index={t: i for i, t in enumerate(tokens)},
-                      index_to_token=tokens)
+    return Vocabulary.from_tokens(tokens)
 
 
 def tiny_telling_record():

@@ -307,7 +307,7 @@ class TestAcceptance:
         cfg = qamodel.ModelConfig.micro(20)
         params = qamodel.init_params(cfg, seed=9)
         c1, c2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        qamodel.save_checkpoint(params, cfg, c1)
+        qamodel.save_checkpoint(params, cfg, vocab20(), c1)
         qamodel.save_checkpoint(*qamodel.load_checkpoint(c1), c2)
         assert c1.read_bytes() == c2.read_bytes()
 

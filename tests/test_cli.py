@@ -1,10 +1,10 @@
 import filecmp
 import os
+import shutil
 
 import pytest
 
-import lstm_reference
-from groundedqa import cli, qamodel
+from groundedqa import cli
 
 
 def _run(*argv):
@@ -32,6 +32,19 @@ class TestParsing:
         cfg_file.write_text("warp_factor=9\n")
         with pytest.raises(cli.UsageError, match="warp_factor"):
             cli.parse_config(["train", "--config", str(cfg_file)])
+
+    def test_config_file_bad_choice_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("mode=garbage\n")
+        assert _run("eval", "--config", str(cfg_file), "--gold-stub",
+                    "--out", str(tmp_path / "o")) == 1
+        assert "garbage" in capsys.readouterr().err
+
+    def test_config_file_width_conflicts_with_preset(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("hidden=16\n")
+        assert _run("gradcheck", "--config", str(cfg_file)) == 2
+        assert "conflicting widths" in capsys.readouterr().err
 
     def test_conflicting_widths_rejected(self, capsys):
         # hidden explicit, d_a from the micro preset (8): mismatch
@@ -97,6 +110,15 @@ def world(tmp_path_factory):
             "splits": str(splits / "splits.tsv")}
 
 
+@pytest.fixture(scope="module")
+def untrained_ckpt(world):
+    run = world["root"] / "untrained"
+    assert _run("train", "--corpus", world["corpus"],
+                "--features", world["features"], "--splits", world["splits"],
+                "--epochs", "0", "--out", str(run)) == 0
+    return run / "model.ckpt"
+
+
 class TestPipeline:
     def test_split_echo_and_sizes(self, world):
         with open(world["splits"]) as f:
@@ -117,7 +139,6 @@ class TestPipeline:
                     "--epochs", "2", "--batch", "4", "--seed", "0",
                     "--out", str(run)) == 0
         assert (run / "model.ckpt").exists()
-        assert (run / "vocab.txt").exists()
         curve = [l for l in (run / "loss_curve.txt").read_text().splitlines()
                  if not l.startswith("#")]
         assert len(curve) == 2
@@ -160,22 +181,45 @@ class TestPipeline:
         with open(out / pgms[0], "rb") as f:
             assert f.read(2) == b"P5"
 
-    def test_v1_checkpoint_is_validation_error(self, world, monkeypatch,
+    def test_v1_checkpoint_is_validation_error(self, world, untrained_ckpt,
                                                capsys):
-        run = world["root"] / "run_v1"
         data = ["--corpus", world["corpus"], "--features", world["features"],
                 "--splits", world["splits"]]
-        assert _run("train", *data, "--epochs", "0", "--out", str(run)) == 0
-        ckpt = run / "model.ckpt"
-        params, mc = qamodel.load_checkpoint(ckpt)
-        with monkeypatch.context() as m:  # version 1 kept one tensor per gate
-            m.setattr(qamodel, "CKPT_VERSION", 1)
-            qamodel.save_checkpoint(lstm_reference.split_gates(params), mc,
-                                    ckpt)
-        capsys.readouterr()
-        assert _run("eval", *data, "--checkpoint", str(ckpt),
-                    "--out", str(world["root"] / "rep_v1")) == 2
-        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+        ckpt = world["root"] / "old" / "model.ckpt"
+        ckpt.parent.mkdir()
+        clean = untrained_ckpt.read_bytes()
+        for version in (1, 2):  # the header's u16 version follows the magic
+            ckpt.write_bytes(clean[:4] + version.to_bytes(2, "little")
+                             + clean[6:])
+            capsys.readouterr()
+            assert _run("eval", *data, "--checkpoint", str(ckpt),
+                        "--out", str(world["root"] / "rep_old")) == 2
+            assert (f"unsupported checkpoint version {version}"
+                    in capsys.readouterr().err)
+
+    def test_checkpoint_moved_alone_evaluates(self, world, untrained_ckpt):
+        data = ["--corpus", world["corpus"], "--features", world["features"],
+                "--splits", world["splits"]]
+        moved = world["root"] / "moved" / "model.ckpt"
+        moved.parent.mkdir()
+        shutil.copyfile(untrained_ckpt, moved)
+        bodies = []
+        for ckpt, rep in ((untrained_ckpt, "rep_here"),
+                          (moved, "rep_moved")):
+            assert _run("eval", *data, "--checkpoint", str(ckpt),
+                        "--out", str(world["root"] / rep)) == 0
+            text = (world["root"] / rep / "report.txt").read_text()
+            bodies.append([l for l in text.splitlines()
+                           if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
+        assert bodies[0][0] == "category\tcount\taccuracy"
+
+    def test_checkpoint_directory_is_validation_error(self, world, capsys):
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--checkpoint", str(world["root"]),
+                    "--out", str(world["root"] / "rep_dir")) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_missing_corpus_path(self, world, capsys):
         assert _run("stats", "--corpus", "/nonexistent/c.json",

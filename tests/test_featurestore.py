@@ -97,6 +97,39 @@ class TestRejection:
                     read_feature_pack(path)
 
 
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "p.fpk"
+        write_feature_pack(_zero_pack(), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            read_feature_pack(path)
+
+    def test_prefix_at_and_inside_every_field_rejected(self, tmp_path):
+        path = tmp_path / "p.fpk"
+        write_feature_pack(_zero_pack(n_regions=2), path)
+        clean = path.read_bytes()
+        region = [4, len("r0"), GLOBAL_DIM * 4]
+        fields = [4, 2, 4, len("img0"), GLOBAL_DIM * 4,
+                  CONV_CELLS * CONV_CHANNELS * 4, 4] + region + region
+        assert sum(fields) == len(clean)
+        start = 0
+        for size in fields:
+            for cut in (start, start + size // 2):
+                path.write_bytes(clean[:cut])
+                with pytest.raises(FormatError, match="truncated"):
+                    read_feature_pack(path)
+            start += size
+
+    def test_duplicate_region_id_rejected(self, tmp_path):
+        path = tmp_path / "p.fpk"
+        write_feature_pack(_zero_pack(n_regions=2), path)
+        data = path.read_bytes()
+        assert data.count(b"r1") == 1  # zero features hold no such bytes
+        path.write_bytes(data.replace(b"r1", b"r0"))
+        with pytest.raises(FormatError, match="duplicate region id 'r0'"):
+            read_feature_pack(path)
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth_feature_pack("img7", seed=3, global_dim=16, conv_cells=4,

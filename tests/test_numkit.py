@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from groundedqa.numkit import (AdamState, DimensionError, adam_step,
-                               cross_entropy, finite_diff_grad_check,
-                               softmax_stable)
+                               finite_diff_grad_check, softmax_stable)
 
 
 class TestSoftmax:
@@ -45,31 +44,6 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             softmax_stable(np.array([]))
-
-
-class TestCrossEntropy:
-    def test_certainty(self):
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
-
-    def test_uniform_four(self):
-        assert abs(cross_entropy(np.full(4, 0.25), 2) - math.log(4)) < 1e-12
-        assert abs(cross_entropy(np.full(4, 0.25), 2) - 1.386294) < 1e-6
-
-    def test_hand_value(self):
-        # -ln 0.7 by calculator
-        assert abs(cross_entropy(np.array([0.1, 0.2, 0.7]), 2)
-                   - 0.35667494393873245) < 1e-12
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(5))
-            t = rng.integers(5)
-            assert cross_entropy(p, int(t)) >= 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            cross_entropy(np.full(4, 0.25), 4)
 
 
 class TestAdam:

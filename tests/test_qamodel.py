@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from groundedqa import datamodel, qamodel
+from groundedqa.binfmt import FormatError
 from groundedqa.numkit import finite_diff_grad_check
 from groundedqa.qamodel import (LEARNED, UNIFORM, ModelConfig, attention_step,
                                 encode, init_params, lstm_step,
@@ -281,7 +283,7 @@ class TestTelling:
                           params)
         p2 = np.exp(params["W_out"] @ h2 + params["b_out"])
         p2 /= p2.sum()
-        expected = math.log(p1[tok]) + math.log(p2[vocab.end_index])
+        expected = math.log(p1[tok]) + math.log(p2[qamodel.END_INDEX])
         assert abs(ll - expected) < 1e-12
 
     def test_invariant_under_inert_vocab_tail(self):
@@ -524,21 +526,53 @@ class TestCheckpoints:
         _, _, vocab, cfg, params = micro_world
         p1 = tmp_path / "m.ckpt"
         p2 = tmp_path / "m2.ckpt"
-        save_checkpoint(params, cfg, p1)
-        loaded, cfg2 = load_checkpoint(p1)
+        save_checkpoint(params, cfg, vocab, p1)
+        loaded, cfg2, vocab2 = load_checkpoint(p1)
         assert cfg2 == cfg
+        assert vocab2 == vocab
         for name in params:
             assert np.array_equal(loaded[name], params[name])
-        save_checkpoint(loaded, cfg2, p2)
+        save_checkpoint(loaded, cfg2, vocab2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path, micro_world):
-        from groundedqa.featurestore import FormatError
         _, _, vocab, cfg, params = micro_world
         path = tmp_path / "m.ckpt"
-        save_checkpoint(params, cfg, path)
+        save_checkpoint(params, cfg, vocab, path)
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path, micro_world):
+        _, _, vocab, cfg, params = micro_world
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, vocab, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_every_strict_prefix_rejected(self, tmp_path):
+        vocab = vocab20()
+        cfg = ModelConfig.micro(vocab.size)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=0), cfg, vocab, path)
+        for cut in reversed(range(path.stat().st_size)):
+            os.truncate(path, cut)  # much cheaper than rewriting the file
+            with pytest.raises(FormatError, match="truncated"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["duplicate", "reserved_order"])
+    def test_bad_vocabulary_rejected(self, tmp_path, edit):
+        tokens = list(vocab20().index_to_token)
+        if edit == "duplicate":
+            tokens[3] = tokens[2]
+        else:
+            tokens[0], tokens[1] = tokens[1], tokens[0]
+        cfg = ModelConfig.micro(len(tokens))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=0), cfg,
+                        datamodel.Vocabulary.from_tokens(tokens), path)
+        with pytest.raises(FormatError, match="vocabulary"):
             load_checkpoint(path)
