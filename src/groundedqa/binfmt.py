@@ -1,16 +1,19 @@
 """
 The binary container of feature packs and checkpoints: a 4-byte magic, a
 u16 version, then little-endian fields in the order each format fixes:
-u32 and i64 integers, u32-length-prefixed UTF-8 strings, and typed arrays
-whose shapes the format already knows. `Reader` checks every length
-before it slices and rejects trailing bytes; `create` and the field
-encoders below it are the only code that writes the container.
+u32 and i64 integers, u32-length-prefixed UTF-8 strings, zero padding up
+to an ALIGN-byte file offset, and typed arrays whose shapes the format
+already knows. `Reader` checks every length before it slices and rejects
+trailing bytes; `create` and the field encoders below it are the only code
+that writes the container.
 """
 
 import math
 import struct
 
 import numpy as np
+
+ALIGN = 8  # `pad` brings the file offset to a multiple of this
 
 
 class FormatError(ValueError):
@@ -22,7 +25,8 @@ class Reader:
 
     def __init__(self, path, magic: bytes, version: int, what: str):
         with open(path, "rb") as f:
-            self._buf = memoryview(f.read())  # slices are views, not copies
+            self._buf = np.fromfile(f, np.uint8)  # numpy allocates aligned
+        self._buf.flags.writeable = False
         self._off = 0
         self._what = what
         got = bytes(self._slice(len(magic), "magic"))
@@ -32,7 +36,7 @@ class Reader:
         if got != version:
             raise FormatError(f"unsupported {what} version {got}")
 
-    def _slice(self, n: int, field: str) -> memoryview:
+    def _slice(self, n: int, field: str) -> np.ndarray:
         end = self._off + n
         if end > len(self._buf):
             raise FormatError(f"truncated {self._what}: need {end} bytes for "
@@ -56,6 +60,11 @@ class Reader:
         n = math.prod(shape) * np.dtype(dtype).itemsize
         return np.frombuffer(self._slice(n, field), dtype).reshape(shape)
 
+    def pad(self) -> None:
+        """Skip the zero bytes that `pad` wrote; any other byte is an error."""
+        if self._slice(-self._off % ALIGN, "padding").any():
+            raise FormatError(f"nonzero padding in the {self._what}")
+
     def end(self) -> None:
         """Raise unless every byte of the file has been read."""
         extra = len(self._buf) - self._off
@@ -68,6 +77,11 @@ def create(path, magic: bytes, version: int):
     f = open(path, "wb")
     f.write(magic + struct.pack("<H", version))
     return f
+
+
+def pad(f) -> None:
+    """Write zero bytes up to the next ALIGN-byte offset of file `f`."""
+    f.write(bytes(-f.tell() % ALIGN))
 
 
 def u32(value: int) -> bytes:

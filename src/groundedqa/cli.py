@@ -9,9 +9,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from . import baselines  # noqa: F401  (re-exported for scripted use)
 from . import datamodel, evalkit, featurestore, qamodel, synthdata
 from .numkit import NumericsError, finite_diff_grad_check
 
@@ -42,7 +41,7 @@ class RunConfig:
     splits: str = None
     splits_seed: int = 0
     checkpoint: str = None
-    mode: str = "learned"
+    mode: str = None  # None: learned at train, the checkpoint's at eval
     task: str = "both"
     preset: str = "micro"
     hidden: int = None
@@ -58,34 +57,22 @@ class RunConfig:
     blur: bool = False
 
 
-COMMANDS = ("synth", "split", "train", "eval", "gradcheck", "stats",
-            "heatmap")
+_PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
+_CHOICES = {"mode": qamodel.MODES, "task": ("telling", "pointing", "both"),
+            "preset": tuple(_PRESETS)}
 
 
 def _build_parser() -> _Parser:
+    """One flag per `RunConfig` field after `command`, typed by its field."""
     p = _Parser(prog="groundedqa", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--corpus")
-    p.add_argument("--features")
-    p.add_argument("--splits")
-    p.add_argument("--splits-seed", type=int, dest="splits_seed")
-    p.add_argument("--checkpoint")
-    p.add_argument("--mode", choices=("learned", "uniform"))
-    p.add_argument("--task", choices=("telling", "pointing", "both"))
-    p.add_argument("--preset", choices=("micro", "full"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--d-a", type=int, dest="d_a")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--n-telling", type=int, dest="n_telling")
-    p.add_argument("--n-pointing", type=int, dest="n_pointing")
-    p.add_argument("--gold-stub", action="store_const", const=True,
-                   dest="gold_stub")
-    p.add_argument("--blur", action="store_const", const=True, dest="blur")
+    for f in fields(RunConfig)[1:]:
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            p.add_argument(flag, action="store_const", const=True)
+        else:
+            p.add_argument(flag, type=f.type, choices=_CHOICES.get(f.name))
     return p
 
 
@@ -131,9 +118,9 @@ def parse_config(argv) -> RunConfig:
 
 
 def _validate_widths(cfg: RunConfig, explicit) -> None:
-    preset_hidden = 8 if cfg.preset == "micro" else 512
-    hidden = cfg.hidden if cfg.hidden is not None else preset_hidden
-    d_a = cfg.d_a if cfg.d_a is not None else preset_hidden
+    preset = _PRESETS[cfg.preset]()
+    hidden = cfg.hidden if cfg.hidden is not None else preset.hidden
+    d_a = cfg.d_a if cfg.d_a is not None else preset.d_a
     one_explicit = ("hidden" in explicit) != ("d_a" in explicit)
     if one_explicit and hidden != d_a:
         raise ValidationError(
@@ -144,13 +131,19 @@ def _validate_widths(cfg: RunConfig, explicit) -> None:
 
 
 def _model_config(cfg: RunConfig, vocab_size: int) -> qamodel.ModelConfig:
-    if cfg.preset == "micro":
-        mc = qamodel.ModelConfig.micro(vocab_size)
-    else:
-        mc = qamodel.ModelConfig(vocab_size=vocab_size)
-    mc.hidden = cfg.hidden
-    mc.d_a = cfg.d_a
-    return mc
+    return replace(_PRESETS[cfg.preset](vocab_size=vocab_size),
+                   hidden=cfg.hidden, d_a=cfg.d_a,
+                   mode=cfg.mode or qamodel.LEARNED)
+
+
+def _load_model(cfg: RunConfig):
+    """The checkpoint's (params, ModelConfig, vocab); --mode must match."""
+    params, mc, vocab = qamodel.load_checkpoint(cfg.checkpoint)
+    if cfg.mode not in (None, mc.mode):
+        raise ValidationError(
+            f"--mode {cfg.mode} does not match the {mc.mode} attention "
+            f"mode of checkpoint {cfg.checkpoint}")
+    return params, mc, vocab
 
 
 def _config_echo(cfg: RunConfig):
@@ -241,8 +234,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     mc = _model_config(cfg, vocab.size)
     params = qamodel.init_params(mc, cfg.seed)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
-                             learning_rate=cfg.lr, seed=cfg.seed,
-                             mode=cfg.mode)
+                             learning_rate=cfg.lr, seed=cfg.seed)
     params, curve = qamodel.train(records, packs, vocab, params, mc, tc)
     qamodel.save_checkpoint(params, mc, vocab,
                             os.path.join(cfg.out, "model.ckpt"))
@@ -266,11 +258,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
             return target
     else:
         _require(cfg, "checkpoint")
-        params, mc, vocab = qamodel.load_checkpoint(cfg.checkpoint)
+        params, mc, vocab = _load_model(cfg)
 
         def predict(rec, pack):
-            chosen, _ = qamodel.predict_mc(rec, pack, params, vocab, mc,
-                                           cfg.mode)
+            chosen, _ = qamodel.predict_mc(rec, pack, params, vocab, mc)
             return chosen
     report = evalkit.evaluate(predict, records, packs)
     with open(os.path.join(cfg.out, "report.txt"), "w") as f:
@@ -288,8 +279,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
     worst = 0.0
     for rec in corpus.records:
         pack = packs[rec.image_id]
-        loss_fn, grad_fn = qamodel.gradcheck_fns(mc, rec, pack, vocab,
-                                                 cfg.mode)
+        loss_fn, grad_fn = qamodel.gradcheck_fns(mc, rec, pack, vocab)
         result = finite_diff_grad_check(loss_fn, grad_fn, params)
         worst = max(worst, result.max_rel_error)
         print(f"{rec.qa_id}: max relative error {result.max_rel_error:.3e} "
@@ -333,10 +323,10 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
     packs = _load_packs(cfg.features)
-    params, mc, vocab = qamodel.load_checkpoint(cfg.checkpoint)
+    params, mc, vocab = _load_model(cfg)
     for rec in _select_records(corpus, cfg):
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
-                                        vocab, mc, cfg.mode)
+                                        vocab, mc)
         width, height = corpus.image_dims(rec.image_id)
         heatmap = evalkit.attention_heatmap(trace, width, height)
         evalkit.export_heatmap_image(
@@ -350,6 +340,7 @@ _DISPATCH = {
     "eval": _cmd_eval, "gradcheck": _cmd_gradcheck, "stats": _cmd_stats,
     "heatmap": _cmd_heatmap,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig) -> int:

@@ -192,7 +192,6 @@ def dedup_groundings(groundings: list) -> list:
 @dataclass
 class SplitAssignment:
     assignment: dict  # qa_id -> "train" | "val" | "test"
-    seed: int
 
     def ids(self, split: str) -> list:
         return [q for q, s in self.assignment.items() if s == split]
@@ -219,7 +218,7 @@ def make_splits(corpus: Corpus, seed: int) -> SplitAssignment:
             assignment[qa_id] = "val"
         else:
             assignment[qa_id] = "test"
-    return SplitAssignment(assignment=assignment, seed=seed)
+    return SplitAssignment(assignment=assignment)
 
 
 def write_splits(splits: SplitAssignment, path, header_lines=()) -> None:
@@ -230,7 +229,7 @@ def write_splits(splits: SplitAssignment, path, header_lines=()) -> None:
             f.write(f"{qa_id}\t{splits.assignment[qa_id]}\n")
 
 
-def read_splits(path, seed: int = 0) -> SplitAssignment:
+def read_splits(path) -> SplitAssignment:
     assignment = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -241,7 +240,7 @@ def read_splits(path, seed: int = 0) -> SplitAssignment:
             if split not in ("train", "val", "test"):
                 raise CorpusError(f"bad split label {split!r} for {qa_id}")
             assignment[qa_id] = split
-    return SplitAssignment(assignment=assignment, seed=seed)
+    return SplitAssignment(assignment=assignment)
 
 
 def tokenize(text: str) -> list:

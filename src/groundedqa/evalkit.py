@@ -195,10 +195,7 @@ def export_heatmap_image(heatmap: HeatMap, path, blur: bool = False,
         pixels = np.zeros_like(grid, dtype=np.uint8)
     if scale > 1:
         pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
-    try:
-        with open(path, "wb") as f:
-            f.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
-                    .encode("ascii"))
-            f.write(pixels.tobytes())
-    except OSError as e:
-        raise IOError(f"cannot write heatmap {path}: {e}") from e
+    with open(path, "wb") as f:
+        f.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
+                .encode("ascii"))
+        f.write(pixels.tobytes())

@@ -30,19 +30,18 @@ class FeaturePack:
     conv_map: np.ndarray  # (cells, channels)
     region_features: dict = field(default_factory=dict)  # grounding_id -> (global_dim,)
 
-    def validate(self, full_scale: bool = False):
-        if full_scale:
-            if self.global_feature.shape != (GLOBAL_DIM,):
-                raise ValueError(
-                    f"global feature must be ({GLOBAL_DIM},), "
-                    f"got {self.global_feature.shape}")
-            if self.conv_map.shape != (CONV_CELLS, CONV_CHANNELS):
-                raise ValueError(
-                    f"conv map must be ({CONV_CELLS}, {CONV_CHANNELS}), "
-                    f"got {self.conv_map.shape}")
-            for rid, feat in self.region_features.items():
-                if feat.shape != (GLOBAL_DIM,):
-                    raise ValueError(f"region {rid}: bad shape {feat.shape}")
+    def validate(self):
+        if self.global_feature.shape != (GLOBAL_DIM,):
+            raise ValueError(
+                f"global feature must be ({GLOBAL_DIM},), "
+                f"got {self.global_feature.shape}")
+        if self.conv_map.shape != (CONV_CELLS, CONV_CHANNELS):
+            raise ValueError(
+                f"conv map must be ({CONV_CELLS}, {CONV_CHANNELS}), "
+                f"got {self.conv_map.shape}")
+        for rid, feat in self.region_features.items():
+            if feat.shape != (GLOBAL_DIM,):
+                raise ValueError(f"region {rid}: bad shape {feat.shape}")
         for arr in [self.global_feature, self.conv_map,
                     *self.region_features.values()]:
             if not np.all(np.isfinite(arr)):
@@ -51,7 +50,7 @@ class FeaturePack:
 
 def write_feature_pack(pack: FeaturePack, path) -> None:
     """Serialize a full-scale pack; write-then-read is the identity."""
-    pack.validate(full_scale=True)
+    pack.validate()
     with binfmt.create(path, MAGIC, VERSION) as f:
         f.write(binfmt.string(pack.image_id))
         f.write(binfmt.array(pack.global_feature, "<f4"))
@@ -79,7 +78,7 @@ def read_feature_pack(path) -> FeaturePack:
                        global_feature=global_feature.astype(np.float64),
                        conv_map=conv_map.astype(np.float64),
                        region_features=regions)
-    pack.validate(full_scale=True)
+    pack.validate()
     return pack
 
 

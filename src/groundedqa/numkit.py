@@ -4,7 +4,7 @@ central-difference gradient checker. Everything here is a pure function of
 its inputs except AdamState, which is mutated by its single writer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,11 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum()
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam accumulator state."""
@@ -49,18 +54,13 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     learning_rate: float = 1e-4
 
     @classmethod
-    def for_param(cls, param: np.ndarray, learning_rate: float = 1e-4,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  epsilon: float = 1e-8) -> "AdamState":
+    def for_param(cls, param: np.ndarray,
+                  learning_rate: float = 1e-4) -> "AdamState":
         return cls(first_moment=np.zeros_like(param, dtype=np.float64),
                    second_moment=np.zeros_like(param, dtype=np.float64),
-                   beta1=beta1, beta2=beta2, epsilon=epsilon,
                    learning_rate=learning_rate)
 
 
@@ -74,12 +74,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
             f"moment {state.first_moment.shape}")
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    state.second_moment = (state.beta2 * state.second_moment
-                           + (1 - state.beta2) * grad * grad)
-    m_hat = state.first_moment / (1 - state.beta1 ** t)
-    v_hat = state.second_moment / (1 - state.beta2 ** t)
-    return param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment = (ADAM_BETA1 * state.first_moment
+                          + (1 - ADAM_BETA1) * grad)
+    state.second_moment = (ADAM_BETA2 * state.second_moment
+                           + (1 - ADAM_BETA2) * grad * grad)
+    m_hat = state.first_moment / (1 - ADAM_BETA1 ** t)
+    v_hat = state.second_moment / (1 - ADAM_BETA2 ** t)
+    return param - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def clip_grads_by_norm(grads: dict, max_norm: float) -> dict:
@@ -95,8 +96,6 @@ def clip_grads_by_norm(grads: dict, max_norm: float) -> dict:
 class GradCheckResult:
     max_rel_error: float
     worst_param: str = ""
-    worst_index: int = 0
-    per_param: dict = field(default_factory=dict)
 
 
 def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
@@ -117,7 +116,6 @@ def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
             raise DimensionError(f"gradient shape {g.shape} != param {p.shape} "
                                  f"for {name}")
         flat = p.ravel()
-        worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -130,11 +128,7 @@ def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
             numeric = (lp - lm) / (2 * h)
             a = g.ravel()[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if rel > worst:
-                worst = rel
             if rel > result.max_rel_error:
                 result.max_rel_error = rel
                 result.worst_param = name
-                result.worst_index = i
-        result.per_param[name] = worst
     return result

@@ -3,7 +3,8 @@ Spatial-attention recurrent QA model: image/word embeddings, an
 attention-gated LSTM cell, telling and pointing decoders, and training with
 hand-written backpropagation for the fixed architecture.
 
-The uniform attention mode pins every attention weight to 1/cells, which
+The attention mode is part of the model's config: learned attention, or
+uniform attention, which pins every attention weight to 1/cells and so
 recovers the plain LSTM baseline.
 
 The four gates share stacked weights: rows [k*h, (k+1)*h) of `Wv`, `Wh`,
@@ -13,11 +14,12 @@ of the conv map and the input projection of every step once per sequence,
 outside the time loop, and backward turns the per-step gate gradients into
 one GEMM per weight.
 
-Checkpoint v3, a `binfmt` container: magic b"V7WM", u16 version 3, the
-`_CFG_FIELDS` as i64, the `vocab_size` tokens in index order (<unk> and
-<end> first, each u32-length-prefixed UTF-8), then every tensor of
-`param_shapes(cfg)` as <f8 in sorted name order. The config fixes every
-name and shape, and the file needs no other file.
+Checkpoint v4, a `binfmt` container: magic b"V7WM", u16 version 4, the
+`_CFG_FIELDS` as i64, the attention mode as a u32-length-prefixed UTF-8
+string, the `vocab_size` tokens in index order (<unk> and <end> first,
+each length-prefixed the same way), zero padding up to an 8-byte offset,
+then every tensor of `param_shapes(cfg)` as <f8 in sorted name order. The
+config fixes every name and shape, and the file needs no other file.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
 
 LEARNED = "learned"
 UNIFORM = "uniform"
+MODES = (LEARNED, UNIFORM)
 
 GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
 _STACKED = ("Wv", "Wh", "Wr")
@@ -45,6 +48,7 @@ class ModelConfig:
     conv_cells: int = 196
     conv_channels: int = 512
     feat_dim: int = 4096
+    mode: str = LEARNED  # attention mode, one of MODES
 
     @classmethod
     def micro(cls, vocab_size: int = 20) -> "ModelConfig":
@@ -235,12 +239,12 @@ def region_feature(pack, grounding_id, cfg: ModelConfig):
     return pack.region_features[grounding_id][:cfg.feat_dim]
 
 
-def encode(pack, question_tokens, params, cfg, mode=LEARNED) -> EncoderState:
+def encode(pack, question_tokens, params, cfg) -> EncoderState:
     """Read the image then the question tokens; record the attention trace."""
     feat, conv = slice_pack(pack, cfg)
-    run = _forward(params, conv, question_tokens, mode, feat=feat)
+    run = _forward(params, conv, question_tokens, cfg.mode, feat=feat)
     return EncoderState(h=run.H[-1], c=run.C[-1], trace=list(run.A),
-                        conv=conv, mode=mode, proj=run.proj)
+                        conv=conv, mode=cfg.mode, proj=run.proj)
 
 
 def _answer_head(params, hs, targets):
@@ -252,16 +256,14 @@ def _answer_head(params, hs, targets):
     return probs, np.log(np.maximum(picked, 1e-12))
 
 
-def telling_answer_loglik(state: EncoderState, answer_tokens, params,
-                          mode=None) -> float:
+def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
     """
     Sum of log-probabilities of the answer tokens plus the end token, with
     the decoder continuing the same attended cell. No length normalization.
     """
     if not answer_tokens:
         raise ValueError("empty answer sequence")
-    mode = state.mode if mode is None else mode
-    run = _forward(params, state.conv, answer_tokens, mode, h0=state.h,
+    run = _forward(params, state.conv, answer_tokens, state.mode, h0=state.h,
                    c0=state.c, proj=state.proj)
     _, logp = _answer_head(params, run.H, list(answer_tokens) + [END_INDEX])
     return float(logp.sum())
@@ -275,19 +277,19 @@ def pointing_candidate_score(state: EncoderState, region_feat, params) -> float:
     return float((params["W_ptr"] @ region_feat + params["b_ptr"]) @ state.h)
 
 
-def predict_mc(record, pack, params, vocab, cfg, mode=LEARNED):
+def predict_mc(record, pack, params, vocab, cfg):
     """
     Score the record's 4 candidates (in their deterministic presentation
     order) and return (chosen index, scores). Ties go to the lowest index.
     """
     cands, _ = datamodel.mc_candidates(record)
     q_tokens = vocab.encode(datamodel.tokenize(record.question))
-    state = encode(pack, q_tokens, params, cfg, mode)
+    state = encode(pack, q_tokens, params, cfg)
     scores = []
     for cand in cands:
         if record.kind == "telling":
             a_tokens = vocab.encode(datamodel.tokenize(cand))
-            scores.append(telling_answer_loglik(state, a_tokens, params, mode))
+            scores.append(telling_answer_loglik(state, a_tokens, params))
         else:
             feat = region_feature(pack, cand, cfg)
             scores.append(pointing_candidate_score(state, feat, params))
@@ -295,7 +297,7 @@ def predict_mc(record, pack, params, vocab, cfg, mode=LEARNED):
     return best, scores
 
 
-def attention_trace(record, pack, params, vocab, cfg, mode=LEARNED) -> list:
+def attention_trace(record, pack, params, vocab, cfg) -> list:
     """
     One attention vector per step while the model reads the image, the
     question and, for a telling record, its correct answer.
@@ -304,7 +306,7 @@ def attention_trace(record, pack, params, vocab, cfg, mode=LEARNED) -> list:
     if record.kind == "telling":
         tokens += vocab.encode(datamodel.tokenize(record.answer))
     feat, conv = slice_pack(pack, cfg)
-    return list(_forward(params, conv, tokens, mode, feat=feat).A)
+    return list(_forward(params, conv, tokens, cfg.mode, feat=feat).A)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _backward(params, conv, run, dH, mode, grads):
 
 
 def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
-                           mode=LEARNED, grads=None):
+                           grads=None):
     """
     Mean cross-entropy over the answer-token predictions (answer tokens plus
     END). With `grads`, adds the analytic gradient of every parameter to it.
@@ -382,7 +384,7 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
         raise ValueError("empty answer sequence")
     feat, conv = slice_pack(pack, cfg)
     m, n = len(q_tokens), len(a_tokens)
-    run = _forward(params, conv, list(q_tokens) + list(a_tokens), mode,
+    run = _forward(params, conv, list(q_tokens) + list(a_tokens), cfg.mode,
                    feat=feat, keep_cache=grads is not None)
     hs = run.H[m + 1:]  # the states after the question and each answer token
     targets = list(a_tokens) + [END_INDEX]
@@ -397,18 +399,18 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
     grads["b_out"] += dlogits.sum(axis=0)
     dH = np.zeros_like(run.H[1:])
     dH[m:] = dlogits @ params["W_out"]
-    _backward(params, conv, run, dH, mode, grads)
+    _backward(params, conv, run, dH, cfg.mode, grads)
     return loss
 
 
 def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
-                            target, mode=LEARNED, grads=None):
+                            target, grads=None):
     """
     Cross-entropy over the softmax of the 4 candidate scores. With `grads`,
     adds the analytic gradient of every parameter to it.
     """
     feat, conv = slice_pack(pack, cfg)
-    run = _forward(params, conv, q_tokens, mode, feat=feat,
+    run = _forward(params, conv, q_tokens, cfg.mode, feat=feat,
                    keep_cache=grads is not None)
     h = run.H[-1]
     F = np.stack(cand_features)
@@ -423,25 +425,24 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
     grads["b_ptr"] += ds.sum() * h
     dH = np.zeros_like(run.H[1:])
     dH[-1] = ds @ transformed
-    _backward(params, conv, run, dH, mode, grads)
+    _backward(params, conv, run, dH, cfg.mode, grads)
     return loss
 
 
-def record_loss_and_grads(params, cfg, record, pack, vocab, mode=LEARNED,
-                          grads=None):
+def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
     """The record's loss; with `grads`, its gradients are added to it."""
     q_tokens = vocab.encode(datamodel.tokenize(record.question))
     if record.kind == "telling":
         a_tokens = vocab.encode(datamodel.tokenize(record.answer))
         return telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
-                                      mode, grads)
+                                      grads)
     cands, target = datamodel.mc_candidates(record)
     feats = [region_feature(pack, c, cfg) for c in cands]
     return pointing_loss_and_grads(params, cfg, pack, q_tokens, feats,
-                                   target, mode, grads)
+                                   target, grads)
 
 
-def gradcheck_fns(cfg, record, pack, vocab, mode=LEARNED):
+def gradcheck_fns(cfg, record, pack, vocab):
     """
     (loss_fn, grad_fn) pair for the finite-difference checker. loss_fn
     evaluates the forward pass in extended precision so the numeric oracle's
@@ -450,11 +451,11 @@ def gradcheck_fns(cfg, record, pack, vocab, mode=LEARNED):
     """
     def loss_fn(p):
         wide = {k: v.astype(np.longdouble) for k, v in p.items()}
-        return record_loss_and_grads(wide, cfg, record, pack, vocab, mode)
+        return record_loss_and_grads(wide, cfg, record, pack, vocab)
 
     def grad_fn(p):
         grads = zero_grads(cfg)
-        record_loss_and_grads(p, cfg, record, pack, vocab, mode, grads)
+        record_loss_and_grads(p, cfg, record, pack, vocab, grads)
         return grads
 
     return loss_fn, grad_fn
@@ -471,7 +472,6 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-4
     seed: int = 0
-    mode: str = LEARNED
     clip_norm: float = None  # optional global max-norm gradient clip
 
 
@@ -499,8 +499,7 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
             for idx in batch:
                 rec = records[idx]
                 loss = record_loss_and_grads(
-                    params, cfg, rec, packs[rec.image_id], vocab,
-                    train_cfg.mode, grads)
+                    params, cfg, rec, packs[rec.image_id], vocab, grads)
                 if not np.isfinite(loss):
                     raise NumericsError(
                         f"non-finite loss on {rec.qa_id} "
@@ -520,12 +519,11 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     return params, curve
 
 
-def training_accuracy(records, packs, vocab, params, cfg, mode=LEARNED):
+def training_accuracy(records, packs, vocab, params, cfg):
     correct = 0
     for rec in records:
         _, target = datamodel.mc_candidates(rec)
-        chosen, _ = predict_mc(rec, packs[rec.image_id], params, vocab, cfg,
-                               mode)
+        chosen, _ = predict_mc(rec, packs[rec.image_id], params, vocab, cfg)
         correct += int(chosen == target)
     return correct / len(records)
 
@@ -535,7 +533,7 @@ def training_accuracy(records, packs, vocab, params, cfg, mode=LEARNED):
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"V7WM"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 _CFG_FIELDS = ("hidden", "d_a", "vocab_size", "conv_cells", "conv_channels",
                "feat_dim")
 
@@ -545,25 +543,31 @@ def save_checkpoint(params, cfg: ModelConfig, vocab, path) -> None:
     with binfmt.create(path, CKPT_MAGIC, CKPT_VERSION) as f:
         for name in _CFG_FIELDS:
             f.write(binfmt.i64(getattr(cfg, name)))
+        f.write(binfmt.string(cfg.mode))
         for token in vocab.index_to_token:
             f.write(binfmt.string(token))
+        binfmt.pad(f)
         for name in sorted(param_shapes(cfg)):
             f.write(binfmt.array(params[name], "<f8"))
 
 
 def load_checkpoint(path):
-    """Return (params, cfg, vocab) from a checkpoint file."""
+    """Return (params, cfg, vocab); tensors are views of the file's bytes."""
     r = binfmt.Reader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     sizes = {name: r.i64(name) for name in _CFG_FIELDS}
     if min(sizes.values()) < 1:
         raise FormatError(f"checkpoint config has a size below 1: {sizes}")
-    cfg = ModelConfig(**sizes)
+    mode = r.string("mode")
+    if mode not in MODES:
+        raise FormatError(f"unknown checkpoint attention mode {mode!r}")
+    cfg = ModelConfig(**sizes, mode=mode)
     tokens = [r.string("token") for _ in range(cfg.vocab_size)]
     if (tokens[:2] != [datamodel.UNK, datamodel.END_ANSWER]
             or len(set(tokens)) < len(tokens)):
         raise FormatError("checkpoint vocabulary must start with <unk>, "
                           "<end> and hold each token once")
-    params = {name: r.array("<f8", shape, f"tensor {name}").copy()
+    r.pad()
+    params = {name: r.array("<f8", shape, f"tensor {name}")
               for name, shape in sorted(param_shapes(cfg).items())}
     r.end()
     return params, cfg, datamodel.Vocabulary.from_tokens(tokens)

@@ -6,6 +6,7 @@ of the form "[NN] <criterion>: PASS (<evidence>)"; tolerances appear inline.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -115,8 +116,10 @@ class TestAcceptance:
         for i in range(100):
             pack = random_micro_pack(rng, image_id=f"im{i}")
             tokens = list(rng.integers(0, vocab.size, size=5))
-            sl = qamodel.encode(pack, tokens, params, cfg, qamodel.LEARNED)
-            su = qamodel.encode(pack, tokens, params, cfg, qamodel.UNIFORM)
+            sl = qamodel.encode(pack, tokens, params,
+                                replace(cfg, mode=qamodel.LEARNED))
+            su = qamodel.encode(pack, tokens, params,
+                                replace(cfg, mode=qamodel.UNIFORM))
             worst = max(worst,
                         float(np.max(np.abs(sl.h - su.h))),
                         float(np.max(np.abs(sl.c - su.c))),
@@ -143,7 +146,8 @@ class TestAcceptance:
             pack = random_micro_pack(rng, image_id=f"im{i}")
             tokens = list(rng.integers(0, vocab.size, size=6))
             for mode in (qamodel.LEARNED, qamodel.UNIFORM):
-                state = qamodel.encode(pack, tokens, params, cfg, mode)
+                state = qamodel.encode(pack, tokens, params,
+                                       replace(cfg, mode=mode))
                 for a in state.trace:
                     assert np.all(a >= 0.0)
                     worst = max(worst, abs(float(a.sum()) - 1.0))

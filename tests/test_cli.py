@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from groundedqa import cli
+from groundedqa import cli, qamodel
 
 
 def _run(*argv):
@@ -119,6 +119,26 @@ def untrained_ckpt(world):
     return run / "model.ckpt"
 
 
+@pytest.fixture(scope="module")
+def trained_run(world):
+    run = world["root"] / "run"
+    assert _run("train", "--corpus", world["corpus"],
+                "--features", world["features"], "--splits", world["splits"],
+                "--epochs", "2", "--batch", "4", "--seed", "0",
+                "--out", str(run)) == 0
+    return run
+
+
+@pytest.fixture(scope="module")
+def uniform_ckpt(world):
+    run = world["root"] / "uniform"
+    assert _run("train", "--corpus", world["corpus"],
+                "--features", world["features"], "--splits", world["splits"],
+                "--mode", "uniform", "--epochs", "2", "--batch", "4",
+                "--out", str(run)) == 0
+    return run / "model.ckpt"
+
+
 class TestPipeline:
     def test_split_echo_and_sizes(self, world):
         with open(world["splits"]) as f:
@@ -131,13 +151,8 @@ class TestPipeline:
         by = Counter(split for _, split in rows)
         assert by == {"train": 6, "val": 2, "test": 4}
 
-    def test_train_eval_roundtrip(self, world):
-        run = world["root"] / "run"
-        assert _run("train", "--corpus", world["corpus"],
-                    "--features", world["features"],
-                    "--splits", world["splits"],
-                    "--epochs", "2", "--batch", "4", "--seed", "0",
-                    "--out", str(run)) == 0
+    def test_train_eval_roundtrip(self, world, trained_run):
+        run = trained_run
         assert (run / "model.ckpt").exists()
         curve = [l for l in (run / "loss_curve.txt").read_text().splitlines()
                  if not l.startswith("#")]
@@ -169,8 +184,8 @@ class TestPipeline:
         assert "n_telling\t6" in text and "n_pointing\t6" in text
         assert "avg_q_len\t" in text
 
-    def test_heatmap_writes_pgms(self, world):
-        run = world["root"] / "run"
+    def test_heatmap_writes_pgms(self, world, trained_run):
+        run = trained_run
         out = world["root"] / "hm"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
@@ -188,7 +203,7 @@ class TestPipeline:
         ckpt = world["root"] / "old" / "model.ckpt"
         ckpt.parent.mkdir()
         clean = untrained_ckpt.read_bytes()
-        for version in (1, 2):  # the header's u16 version follows the magic
+        for version in (1, 2, 3):  # the u16 version follows the magic
             ckpt.write_bytes(clean[:4] + version.to_bytes(2, "little")
                              + clean[6:])
             capsys.readouterr()
@@ -231,10 +246,58 @@ class TestPipeline:
         assert _run("stats", "--corpus", str(bad),
                     "--out", str(tmp_path / "o")) == 2
 
-    def test_config_echo_written(self, world):
-        echo = (world["root"] / "run" / "config.echo.txt").read_text()
+    def test_config_echo_written(self, trained_run):
+        echo = (trained_run / "config.echo.txt").read_text()
         assert "command=train" in echo
         assert "epochs=2" in echo
+
+
+class TestMode:
+    """The attention mode is chosen at train and read from the checkpoint."""
+
+    def test_eval_takes_mode_from_checkpoint(self, world, uniform_ckpt):
+        assert qamodel.load_checkpoint(uniform_ckpt)[1].mode == "uniform"
+        data = ["--corpus", world["corpus"], "--features", world["features"],
+                "--splits", world["splits"], "--checkpoint", str(uniform_ckpt)]
+        bodies = []
+        for name, mode in (("rep_ckpt_mode", []),
+                           ("rep_uniform", ["--mode", "uniform"])):
+            out = world["root"] / name
+            assert _run("eval", *data, *mode, "--out", str(out)) == 0
+            text = (out / "report.txt").read_text()
+            bodies.append([l for l in text.splitlines()
+                           if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
+
+    def test_heatmap_takes_mode_from_checkpoint(self, world, uniform_ckpt):
+        out = world["root"] / "hm_uniform"
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--checkpoint", str(uniform_ckpt), "--out", str(out)) == 0
+        pgms = [n for n in os.listdir(out) if n.endswith(".pgm")]
+        assert len(pgms) == 12
+        for name in pgms:
+            magic, _, _, pixels = (out / name).read_bytes().split(b"\n", 3)
+            assert magic == b"P5"
+            assert pixels and not any(pixels), name  # a constant map
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_mismatched_mode_is_validation_error(self, world, uniform_ckpt,
+                                                 tmp_path, capsys, command,
+                                                 source):
+        if source == "flag":
+            mode = ["--mode", "learned"]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("mode=learned\n")
+            mode = ["--config", str(cfg_file)]
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--checkpoint", str(uniform_ckpt), *mode,
+                    "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "--mode learned" in err and "uniform" in err
 
 
 class TestGradcheck:

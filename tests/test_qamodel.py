@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestEncode:
         params = init_params(cfg, 2)
         pack = tiny_packs()["im_t"]
         tokens = vocab.encode(["what", "color", "is", "it", "?"])
-        state = encode(pack, tokens, params, cfg, mode=LEARNED)
+        state = encode(pack, tokens, params, cfg)
 
         feat = pack.global_feature[:cfg.feat_dim]
         conv = pack.conv_map[:cfg.conv_cells, :cfg.conv_channels]
@@ -231,7 +232,8 @@ class TestEncode:
         params = init_params(cfg, 2)
         tokens = vocab.encode(["what", "color", "is", "it", "?"])
         for mode in (LEARNED, UNIFORM):
-            state = encode(tiny_packs()["im_t"], tokens, params, cfg, mode)
+            state = encode(tiny_packs()["im_t"], tokens, params,
+                           replace(cfg, mode=mode))
             for a in state.trace:
                 assert abs(a.sum() - 1.0) < 1e-9
                 assert np.all(a >= 0.0)
@@ -385,8 +387,8 @@ class TestModes:
         rec = corpus.records[0]
         tokens = vocab.encode(datamodel.tokenize(rec.question))
         pack = packs[rec.image_id]
-        s_learned = encode(pack, tokens, params, cfg, LEARNED)
-        s_uniform = encode(pack, tokens, params, cfg, UNIFORM)
+        s_learned = encode(pack, tokens, params, replace(cfg, mode=LEARNED))
+        s_uniform = encode(pack, tokens, params, replace(cfg, mode=UNIFORM))
         assert np.max(np.abs(s_learned.h - s_uniform.h)) < 1e-12
         assert np.max(np.abs(s_learned.c - s_uniform.c)) < 1e-12
         for a, b in zip(s_learned.trace, s_uniform.trace):
@@ -439,7 +441,8 @@ class TestGradients:
         packs = tiny_packs()
         for rec in (tiny_telling_record(), tiny_pointing_record()):
             pack = packs[rec.image_id]
-            loss_fn, _ = qamodel.gradcheck_fns(cfg, rec, pack, vocab, mode)
+            loss_fn, _ = qamodel.gradcheck_fns(replace(cfg, mode=mode), rec,
+                                               pack, vocab)
             loss = loss_fn(params)
             assert isinstance(loss, np.longdouble)
             ref, _ = lstm_reference.record_loss_and_grads(wide, cfg, rec, pack,
@@ -465,8 +468,8 @@ class TestReferenceOracle:
         pack = packs[rec.image_id]
         params = init_params(cfg, 5)
         grads = zero_grads(cfg)
-        loss = qamodel.record_loss_and_grads(params, cfg, rec, pack, vocab,
-                                             mode, grads)
+        loss = qamodel.record_loss_and_grads(
+            params, replace(cfg, mode=mode), rec, pack, vocab, grads)
         ref_loss, ref_grads = lstm_reference.record_loss_and_grads(
             lstm_reference.split_gates(params), cfg, rec, pack, vocab, mode)
         ref_grads = lstm_reference.stack_gates(ref_grads)
@@ -487,8 +490,8 @@ class TestReferenceOracle:
         params = init_params(cfg, 6)
         for rec in (tiny_repeat_record(), tiny_pointing_record()):
             pack = packs[rec.image_id]
-            trace = qamodel.attention_trace(rec, pack, params, vocab, cfg,
-                                            mode)
+            trace = qamodel.attention_trace(rec, pack, params, vocab,
+                                            replace(cfg, mode=mode))
             tokens = vocab.encode(datamodel.tokenize(rec.question))
             if rec.kind == "telling":
                 tokens += vocab.encode(datamodel.tokenize(rec.answer))
@@ -499,6 +502,26 @@ class TestReferenceOracle:
             assert len(trace) == len(caches) == 1 + len(tokens)
             for a, st in zip(trace, caches):
                 assert np.max(np.abs(a - st["a"])) < 1e-12
+
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_telling_scores_match(self, mode):
+        # predict_mc scores a candidate by its summed log-likelihood: minus
+        # (answer tokens + 1) times the reference's mean cross-entropy
+        vocab, cfg, packs = _world("mid")
+        cfg = replace(cfg, mode=mode)
+        params = init_params(cfg, 7)
+        rec = tiny_repeat_record()
+        pack = packs[rec.image_id]
+        q_tokens = vocab.encode(datamodel.tokenize(rec.question))
+        cands, _ = datamodel.mc_candidates(rec)
+        _, scores = predict_mc(rec, pack, params, vocab, cfg)
+        for cand, score in zip(cands, scores):
+            a_tokens = vocab.encode(datamodel.tokenize(cand))
+            ref, _ = lstm_reference.telling_loss_and_grads(
+                lstm_reference.split_gates(params), cfg, pack, q_tokens,
+                a_tokens, mode)
+            expected = -(len(a_tokens) + 1) * ref
+            assert abs(score - expected) <= 1e-9 * abs(expected)
 
 
 class TestTrain:
@@ -526,14 +549,47 @@ class TestCheckpoints:
         _, _, vocab, cfg, params = micro_world
         p1 = tmp_path / "m.ckpt"
         p2 = tmp_path / "m2.ckpt"
-        save_checkpoint(params, cfg, vocab, p1)
-        loaded, cfg2, vocab2 = load_checkpoint(p1)
-        assert cfg2 == cfg
-        assert vocab2 == vocab
-        for name in params:
-            assert np.array_equal(loaded[name], params[name])
-        save_checkpoint(loaded, cfg2, vocab2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for mode in qamodel.MODES:
+            cfg = replace(cfg, mode=mode)
+            save_checkpoint(params, cfg, vocab, p1)
+            loaded, cfg2, vocab2 = load_checkpoint(p1)
+            assert cfg2 == cfg
+            assert vocab2 == vocab
+            for name in params:
+                assert np.array_equal(loaded[name], params[name])
+                # views of the file's bytes, not copies
+                assert loaded[name].flags.aligned
+                assert not loaded[name].flags.writeable
+            save_checkpoint(loaded, cfg2, vocab2, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unknown_mode_rejected(self, tmp_path, micro_world):
+        _, _, vocab, cfg, params = micro_world
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, replace(cfg, mode="sideways"), vocab, path)
+        with pytest.raises(FormatError, match="mode 'sideways'"):
+            load_checkpoint(path)
+
+    def test_nonzero_padding_rejected(self, tmp_path):
+        vocab = vocab20()
+        cfg = ModelConfig.micro(vocab.size)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, seed=0), cfg, vocab, path)
+        clean = path.read_bytes()
+        # magic, version, six i64 sizes, then the mode and the tokens
+        fields_end = 6 + 6 * 8 + sum(
+            4 + len(s.encode()) for s in [cfg.mode, *vocab.index_to_token])
+        first_tensor = len(clean) - 8 * sum(
+            math.prod(shape) for shape in param_shapes(cfg).values())
+        assert first_tensor % 8 == 0
+        assert 0 < first_tensor - fields_end < 8
+        assert not any(clean[fields_end:first_tensor])
+        for offset in range(fields_end, first_tensor):
+            data = bytearray(clean)
+            data[offset] = 1
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError, match="nonzero padding"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path, micro_world):
         _, _, vocab, cfg, params = micro_world
