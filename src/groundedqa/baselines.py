@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datamodel
-from .numkit import AdamState, adam_step, softmax_stable
+from .numkit import AdamState, NumericsError, adam_step, softmax_stable
 
 EMBED_DIM = 200
 
@@ -84,7 +84,7 @@ def kmeans_fit(vectors, k: int, iterations: int = 50,
     """
     Lloyd's algorithm. Initial centroids drawn uniformly without replacement;
     empty clusters reseeded with the point farthest from its centroid.
-    Inertia is asserted non-increasing every round.
+    Inertia must not increase between rounds (NumericsError).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
@@ -99,7 +99,8 @@ def kmeans_fit(vectors, k: int, iterations: int = 50,
         d = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
         assign = d.argmin(axis=1)
         inertia = float(d[np.arange(n), assign].sum())
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        if not inertia <= prev_inertia + 1e-9:  # NaN fails this too
+            raise NumericsError(f"k-means inertia rose to {inertia}")
         prev_inertia = inertia
         history.append(inertia)
         if prev_assign is not None and np.array_equal(assign, prev_assign):

@@ -168,30 +168,30 @@ def _require(cfg: RunConfig, *names):
         value = getattr(cfg, name)
         if value is None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
-        if name in ("corpus", "features", "splits", "checkpoint") \
-                and not os.path.exists(value):
+        if not os.path.exists(value):  # every required flag is a path
             raise UsageError(f"--{name.replace('_', '-')}: "
                              f"no such path {value!r}")
 
 
-def _load_packs(features_dir):
-    packs = {}
-    for entry in sorted(os.listdir(features_dir)):
-        if entry.endswith(".fpk"):
-            pack = featurestore.read_feature_pack(
-                os.path.join(features_dir, entry))
-            packs[pack.image_id] = pack
-    return packs
-
-
-def _select_records(corpus, cfg: RunConfig, split=None):
+def _open_run(cfg: RunConfig, split=None):
+    """Prepare --out; return echo, corpus, selected records, their packs."""
+    _require(cfg, "corpus", "features")
+    echo = _prepare_out(cfg)
+    corpus = datamodel.parse_corpus(cfg.corpus)
     records = corpus.records
     if cfg.task != "both":
         records = [r for r in records if r.kind == cfg.task]
     if split and cfg.splits:
         assignment = datamodel.read_splits(cfg.splits).assignment
         records = [r for r in records if assignment.get(r.qa_id) == split]
-    return records
+    paths = {r.image_id: featurestore.pack_path(cfg.features, r.image_id)
+             for r in records}
+    packs = {i: featurestore.read_feature_pack(p) for i, p in paths.items()}
+    for image_id, pack in packs.items():
+        if pack.image_id != image_id:
+            raise ValidationError(f"{paths[image_id]}: holds the pack of "
+                                  f"image {pack.image_id!r}")
+    return echo, corpus, records, packs
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     os.makedirs(pack_dir, exist_ok=True)
     for image_id in sorted(packs):
         featurestore.write_feature_pack(
-            packs[image_id], os.path.join(pack_dir, f"{image_id}.fpk"))
+            packs[image_id], featurestore.pack_path(pack_dir, image_id))
     return EXIT_OK
 
 
@@ -223,11 +223,7 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "features")
-    echo = _prepare_out(cfg)
-    corpus = datamodel.parse_corpus(cfg.corpus)
-    packs = _load_packs(cfg.features)
-    records = _select_records(corpus, cfg, split="train")
+    echo, _, records, packs = _open_run(cfg, split="train")
     if not records:
         raise ValidationError("no training records selected")
     vocab = datamodel.build_vocab(records)
@@ -247,11 +243,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "features")
-    echo = _prepare_out(cfg)
-    corpus = datamodel.parse_corpus(cfg.corpus)
-    packs = _load_packs(cfg.features)
-    records = _select_records(corpus, cfg, split="test")
+    echo, _, records, packs = _open_run(cfg, split="test")
     if cfg.gold_stub:
         def predict(rec, pack):
             _, target = datamodel.mc_candidates(rec)
@@ -319,16 +311,14 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "features", "checkpoint")
-    _prepare_out(cfg)
-    corpus = datamodel.parse_corpus(cfg.corpus)
-    packs = _load_packs(cfg.features)
+    _require(cfg, "checkpoint")
+    _, corpus, records, packs = _open_run(cfg)
     params, mc, vocab = _load_model(cfg)
-    for rec in _select_records(corpus, cfg):
+    dims = {image_id: (w, h) for image_id, w, h in corpus.images}
+    for rec in records:
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
                                         vocab, mc)
-        width, height = corpus.image_dims(rec.image_id)
-        heatmap = evalkit.attention_heatmap(trace, width, height)
+        heatmap = evalkit.attention_heatmap(trace, *dims[rec.image_id])
         evalkit.export_heatmap_image(
             heatmap, os.path.join(cfg.out, f"{rec.qa_id}.pgm"),
             blur=cfg.blur)

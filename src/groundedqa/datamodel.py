@@ -100,6 +100,8 @@ class Corpus:
         for image_id, w, h in self.images:
             if w <= 0 or h <= 0:
                 raise CorpusError(f"image {image_id}: bad dims {w}x{h}")
+            if image_id in image_ids:
+                raise CorpusError(f"duplicate image_id {image_id}")
             image_ids.add(image_id)
         seen = set()
         for rec in self.records:
@@ -109,12 +111,6 @@ class Corpus:
             seen.add(rec.qa_id)
             if rec.image_id not in image_ids:
                 raise CorpusError(f"{rec.qa_id}: unknown image {rec.image_id}")
-
-    def image_dims(self, image_id: str):
-        for iid, w, h in self.images:
-            if iid == image_id:
-                return w, h
-        raise KeyError(image_id)
 
 
 def parse_corpus(path) -> Corpus:

@@ -6,9 +6,13 @@ File format v1, in the `binfmt` container: magic b"V7WF", u16 version 1,
 image_id (u32-length-prefixed UTF-8), 4096 <f4 global feature, 196*512 <f4
 conv map (row-major), u32 region count, then per region its id string and
 4096 <f4. Region ids are unique. Files always carry full-scale dims;
-in-memory packs may be smaller for desk-scale experiments.
+in-memory packs may be smaller for desk-scale experiments. A features
+directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
+run reads only the packs of the records it selects.
 """
 
+import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +50,13 @@ class FeaturePack:
                     *self.region_features.values()]:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite features in pack {self.image_id}")
+
+
+def pack_path(features_dir, image_id: str) -> str:
+    """The file of an image's pack; the id must be a plain file name."""
+    if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
+        raise ValueError(f"image id {image_id!r} is not a plain file name")
+    return os.path.join(features_dir, f"{image_id}.fpk")
 
 
 def write_feature_pack(pack: FeaturePack, path) -> None:
@@ -94,8 +105,9 @@ def synth_feature_pack(image_id: str, seed: int, planted_signal=None,
     class code, and the correct region (if named) carries a marker block the
     distractor regions lack, so the label is linearly recoverable.
     """
+    # crc32, unlike hash(), gives an id the same seed in every process
     rng = np.random.default_rng(
-        np.random.SeedSequence([seed, abs(hash_image_id(image_id))]))
+        np.random.SeedSequence([seed, zlib.crc32(image_id.encode())]))
     global_feature = rng.normal(0.0, 1.0, size=global_dim)
     conv_map = rng.normal(0.0, 1.0, size=(conv_cells, conv_channels))
     block = 2  # scalars per class in the planted code
@@ -114,9 +126,3 @@ def synth_feature_pack(image_id: str, seed: int, planted_signal=None,
         regions[rid] = feat
     return FeaturePack(image_id=image_id, global_feature=global_feature,
                        conv_map=conv_map, region_features=regions)
-
-
-def hash_image_id(image_id: str) -> int:
-    """Stable (process-independent) integer hash of an image id."""
-    import zlib
-    return zlib.crc32(image_id.encode("utf-8"))

@@ -55,6 +55,10 @@ class ModelConfig:
         return cls(hidden=8, d_a=8, vocab_size=vocab_size,
                    conv_cells=4, conv_channels=6, feat_dim=12)
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"attention mode {self.mode!r} not in {MODES}")
+
 
 def param_shapes(cfg: ModelConfig) -> dict:
     h, da, v = cfg.hidden, cfg.d_a, cfg.vocab_size

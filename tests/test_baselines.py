@@ -9,6 +9,7 @@ from groundedqa.baselines import (EMBED_DIM, LogRegConfig,
                                   logreg_train, question_feature)
 from groundedqa.datamodel import QARecord
 from groundedqa.featurestore import FeaturePack
+from groundedqa.numkit import NumericsError
 
 
 def _table(vectors):
@@ -89,12 +90,17 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_inertia_non_increasing_on_random_instances(self):
-        # the fit itself asserts per-round monotonicity
+        # the fit itself checks per-round monotonicity
         rng = np.random.default_rng(3)
         for _ in range(20):
             pts = rng.normal(size=(rng.integers(8, 40), 3))
             kmeans_fit(pts, int(rng.integers(1, 6)), iterations=15,
                        seed=int(rng.integers(100)))
+
+    def test_nan_inertia_is_numerics_error(self):
+        pts = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]])
+        with pytest.raises(NumericsError, match="inertia"):
+            kmeans_fit(pts, k=2, seed=0)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import filecmp
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from groundedqa import cli, qamodel
+from groundedqa import cli, datamodel, featurestore, qamodel
 
 
 def _run(*argv):
@@ -298,6 +299,90 @@ class TestMode:
                     "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert "--mode learned" in err and "uniform" in err
+
+
+def _split_images(world, split):
+    """The image ids of the world's records in one split."""
+    assignment = datamodel.read_splits(world["splits"]).assignment
+    return {r.image_id for r in datamodel.parse_corpus(world["corpus"]).records
+            if assignment[r.qa_id] == split}
+
+
+class TestInputs:
+    """A run reads `<features>/<image_id>.fpk` for its records' images only."""
+
+    @pytest.mark.parametrize("command,split", [("train", "train"),
+                                               ("eval", "test")])
+    def test_reads_only_the_selected_records_packs(
+            self, world, untrained_ckpt, monkeypatch, tmp_path, command,
+            split):
+        read = []
+        real = featurestore.read_feature_pack
+
+        def spy(path):
+            read.append(os.path.basename(path))
+            return real(path)
+
+        monkeypatch.setattr(featurestore, "read_feature_pack", spy)
+        extra = (["--epochs", "0"] if command == "train"
+                 else ["--checkpoint", str(untrained_ckpt)])
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], *extra,
+                    "--out", str(tmp_path / "o")) == 0
+        images = _split_images(world, split)
+        assert len(images) == (6 if split == "train" else 4)
+        assert sorted(read) == sorted(f"{i}.fpk" for i in images)
+
+    def test_train_with_a_missing_pack_names_it(self, world, tmp_path,
+                                                capsys):
+        features = tmp_path / "packs"
+        shutil.copytree(world["features"], features)
+        gone = features / f"{min(_split_images(world, 'train'))}.fpk"
+        gone.unlink()
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", str(features), "--splits", world["splits"],
+                    "--epochs", "1", "--out", str(tmp_path / "o")) == 2
+        assert str(gone) in capsys.readouterr().err
+
+    def test_eval_with_empty_features_is_validation_error(
+            self, world, untrained_ckpt, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", str(tmp_path / "empty"),
+                    "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "No such file" in capsys.readouterr().err
+
+    def test_pack_under_another_images_name(self, world, tmp_path, capsys):
+        features = tmp_path / "packs"
+        shutil.copytree(world["features"], features)
+        first, second = sorted(os.listdir(features))[:2]
+        shutil.copyfile(features / first, features / second)
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", str(features), "--gold-stub",
+                    "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert second in err and first[:-len(".fpk")] in err
+
+    def test_image_id_outside_the_features_directory(self, world, tmp_path,
+                                                     capsys):
+        corpus = datamodel.parse_corpus(world["corpus"])
+        rec = replace(corpus.records[0], image_id="../x")
+        path = tmp_path / "corpus.json"
+        datamodel.write_corpus(datamodel.Corpus([("../x", 700, 700)], [rec]),
+                               path)
+        # a pack that a bare path join would find and accept
+        pack = featurestore.read_feature_pack(os.path.join(
+            world["features"], f"{corpus.records[0].image_id}.fpk"))
+        featurestore.write_feature_pack(replace(pack, image_id="../x"),
+                                        tmp_path / "x.fpk")
+        (tmp_path / "packs").mkdir()
+        assert _run("eval", "--corpus", str(path),
+                    "--features", str(tmp_path / "packs"), "--gold-stub",
+                    "--out", str(tmp_path / "o")) == 2
+        assert "not a plain file name" in capsys.readouterr().err
 
 
 class TestGradcheck:

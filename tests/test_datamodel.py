@@ -289,6 +289,15 @@ class TestParseCorpus:
         with pytest.raises(CorpusError, match="bad1"):
             parse_corpus(path)
 
+    def test_duplicate_image_id_rejected(self, tmp_path):
+        with open(FIXTURE) as f:
+            doc = json.load(f)
+        doc["images"].append(dict(doc["images"][0], width=9))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match="duplicate image_id im1"):
+            parse_corpus(path)
+
     def test_fixture_manifest(self):
         c = parse_corpus(FIXTURE)
         assert len(c.records) == 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groundedqa.featurestore import (CONV_CELLS, CONV_CHANNELS, GLOBAL_DIM,
-                                     FeaturePack, FormatError,
+                                     FeaturePack, FormatError, pack_path,
                                      read_feature_pack, synth_feature_pack,
                                      write_feature_pack)
 
@@ -128,6 +128,18 @@ class TestRejection:
         path.write_bytes(data.replace(b"r1", b"r0"))
         with pytest.raises(FormatError, match="duplicate region id 'r0'"):
             read_feature_pack(path)
+
+
+class TestPackPath:
+    def test_named_by_image_id(self):
+        assert pack_path("feats", "img 7.b") == os.path.join("feats",
+                                                            "img 7.b.fpk")
+
+    @pytest.mark.parametrize("image_id",
+                             ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
+    def test_not_a_plain_file_name(self, image_id):
+        with pytest.raises(ValueError, match="not a plain file name"):
+            pack_path("feats", image_id)
 
 
 class TestSynth:

@@ -566,9 +566,18 @@ class TestCheckpoints:
     def test_unknown_mode_rejected(self, tmp_path, micro_world):
         _, _, vocab, cfg, params = micro_world
         path = tmp_path / "m.ckpt"
-        save_checkpoint(params, replace(cfg, mode="sideways"), vocab, path)
-        with pytest.raises(FormatError, match="mode 'sideways'"):
+        save_checkpoint(params, cfg, vocab, path)
+        # magic, version, six i64 sizes, the u32 mode length, then the mode
+        at = 6 + 6 * 8 + 4
+        clean = path.read_bytes()
+        assert clean[at:at + 7] == b"learned"
+        path.write_bytes(clean[:at] + b"Learned" + clean[at + 7:])
+        with pytest.raises(FormatError, match="mode 'Learned'"):
             load_checkpoint(path)
+
+    def test_config_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="'Learned'.*'uniform'"):
+            ModelConfig(mode="Learned")
 
     def test_nonzero_padding_rejected(self, tmp_path):
         vocab = vocab20()
