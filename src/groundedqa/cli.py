@@ -244,6 +244,8 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _cmd_eval(cfg: RunConfig) -> int:
     echo, _, records, packs = _open_run(cfg, split="test")
+    if not records:
+        raise ValidationError("no test records selected")
     if cfg.gold_stub:
         def predict(rec, pack):
             _, target = datamodel.mc_candidates(rec)

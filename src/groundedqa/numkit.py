@@ -1,7 +1,8 @@
 """
-Dense float64 math kernels: stable softmax, Adam, and a
+Dense float64 math kernels: stable softmax, Adam, gradient clipping and a
 central-difference gradient checker. Everything here is a pure function of
-its inputs except AdamState, which is mutated by its single writer.
+its inputs except `adam_step` and `clip_grads_by_norm`, which update the
+arrays they are given in place.
 """
 
 from dataclasses import dataclass
@@ -45,11 +46,12 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+ADAM_CHUNK = 1 << 14  # elements per pass of adam_step over its vectors
 
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulator state."""
+    """Adam accumulator state of one parameter array."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -59,37 +61,65 @@ class AdamState:
     @classmethod
     def for_param(cls, param: np.ndarray,
                   learning_rate: float = 1e-4) -> "AdamState":
-        return cls(first_moment=np.zeros_like(param, dtype=np.float64),
-                   second_moment=np.zeros_like(param, dtype=np.float64),
+        # np.zeros, not zeros_like: calloc leaves the pages untouched
+        # until the first step writes them
+        return cls(first_moment=np.zeros(np.shape(param)),
+                   second_moment=np.zeros(np.shape(param)),
                    learning_rate=learning_rate)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update. Mutates `state`, returns the new param."""
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    """
+    One bias-corrected Adam update of the float64 array `param`, in place.
+    Mutates `state`, reads `grad`, and returns `param`. It walks the arrays
+    ADAM_CHUNK elements at a time through two chunk-sized scratch buffers,
+    in the operation order of the textbook formula, so the result is
+    bitwise that of the whole-array expressions.
+    """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise DimensionError(
             f"param {param.shape} vs grad {grad.shape} vs "
             f"moment {state.first_moment.shape}")
+    if param.dtype != np.float64 or not param.flags.c_contiguous:
+        raise TypeError("adam_step updates a C-contiguous float64 array")
     state.step_count += 1
     t = state.step_count
-    state.first_moment = (ADAM_BETA1 * state.first_moment
-                          + (1 - ADAM_BETA1) * grad)
-    state.second_moment = (ADAM_BETA2 * state.second_moment
-                           + (1 - ADAM_BETA2) * grad * grad)
-    m_hat = state.first_moment / (1 - ADAM_BETA1 ** t)
-    v_hat = state.second_moment / (1 - ADAM_BETA2 ** t)
-    return param - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    lr, c1, c2 = state.learning_rate, 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+    p, g = param.reshape(-1), np.asarray(grad, np.float64).reshape(-1)
+    m = state.first_moment.reshape(-1)
+    v = state.second_moment.reshape(-1)
+    buf = np.empty((2, min(p.size, ADAM_CHUNK)))
+    for lo in range(0, p.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, p.size)
+        gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+        s1, s2 = buf[:, :hi - lo]
+        # m = b1 * m + (1 - b1) * g
+        mc *= ADAM_BETA1
+        mc += np.multiply(1 - ADAM_BETA1, gc, out=s1)
+        # v = b2 * v + (1 - b2) * g * g
+        vc *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, gc, out=s1)
+        vc += np.multiply(s1, gc, out=s1)
+        # p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(mc, c1, out=s1)
+        s1 *= lr
+        np.divide(vc, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPSILON
+        s1 /= s2
+        p[lo:hi] -= s1
+    return param
 
 
-def clip_grads_by_norm(grads: dict, max_norm: float) -> dict:
-    """Scale the whole gradient dict so its global L2 norm is <= max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
+def clip_grads_by_norm(grad: np.ndarray, max_norm: float) -> float:
+    """
+    Scale the flat gradient vector in place so its L2 norm is <= max_norm.
+    Returns the norm before clipping.
+    """
+    total = float(np.sqrt(grad @ grad))
+    if total > max_norm:
+        grad *= max_norm / total
+    return total
 
 
 @dataclass

@@ -18,10 +18,17 @@ Checkpoint v4, a `binfmt` container: magic b"V7WM", u16 version 4, the
 `_CFG_FIELDS` as i64, the attention mode as a u32-length-prefixed UTF-8
 string, the `vocab_size` tokens in index order (<unk> and <end> first,
 each length-prefixed the same way), zero padding up to an 8-byte offset,
-then every tensor of `param_shapes(cfg)` as <f8 in sorted name order. The
-config fixes every name and shape, and the file needs no other file.
+then the flat parameter vector as <f8. The config fixes every name and
+shape, and the file needs no other file.
+
+The flat parameter vector holds every tensor of `param_shapes(cfg)` in
+sorted name order, each C-ordered; `param_views` names its parts. Training
+keeps the params, their gradient and both Adam moments in vectors of this
+layout, so one call zeroes, scales or updates all of them, and a checkpoint
+writes and reads the params as one array.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +45,7 @@ MODES = (LEARNED, UNIFORM)
 GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
 _STACKED = ("Wv", "Wh", "Wr")
 END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
+_OUTER_BLOCK = 1 << 16  # elements of `_add_outer`'s scratch, 512 KB
 
 
 @dataclass
@@ -101,6 +109,47 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
 def zero_grads(cfg: ModelConfig) -> dict:
     return {name: np.zeros(shape)
             for name, shape in param_shapes(cfg).items()}
+
+
+def param_count(cfg: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+
+
+def param_views(vec: np.ndarray, cfg: ModelConfig) -> dict:
+    """Name -> view of its part of the flat parameter vector `vec`."""
+    views, start = {}, 0
+    for name, shape in sorted(param_shapes(cfg).items()):
+        stop = start + math.prod(shape)
+        views[name] = vec[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def flatten(params: dict, cfg: ModelConfig) -> np.ndarray:
+    """
+    The params as one flat parameter vector. If they are the
+    `param_views` of one, that vector itself, else a float64 copy.
+    """
+    names = sorted(param_shapes(cfg))
+    vec = params[names[0]].base
+    if (isinstance(vec, np.ndarray) and vec.dtype == np.float64
+            and vec.shape == (param_count(cfg),)):
+        views = param_views(vec, cfg)
+        if all(params[n].__array_interface__ == views[n].__array_interface__
+               for n in names):
+            return vec
+    return np.concatenate([np.ravel(params[n]) for n in names],
+                          dtype=np.float64)
+
+
+def _add_outer(out, a, b):
+    """out += np.outer(a, b), bitwise, without the full-size temporary."""
+    rows = max(1, _OUTER_BLOCK // b.shape[0])
+    buf = np.empty((min(rows, a.shape[0]), b.shape[0]), out.dtype)
+    for lo in range(0, a.shape[0], rows):
+        block = out[lo:lo + rows]
+        part = buf[:block.shape[0]]
+        block += np.multiply(a[lo:lo + rows, None], b, out=part)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +414,7 @@ def _backward(params, conv, run, dH, mode, grads):
     grads["b_gates"] += DZ.sum(axis=0)
     DV = DZ @ params["Wv"]
     if run.feat is not None:
-        grads["W_img"] += np.outer(DV[0], run.feat)
+        _add_outer(grads["W_img"], DV[0], run.feat)
         grads["b_img"] += DV[0]
         DV = DV[1:]
     # add.at, not +=, so a repeated token gets every one of its steps
@@ -425,7 +474,7 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
         return loss
     ds = probs.copy()
     ds[target] -= 1.0
-    grads["W_ptr"] += np.outer(h, ds @ F)
+    _add_outer(grads["W_ptr"], h, ds @ F)
     grads["b_ptr"] += ds.sum() * h
     dH = np.zeros_like(run.H[1:])
     dH[-1] = ds @ transformed
@@ -483,22 +532,26 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
           train_cfg: TrainConfig):
     """
     Mini-batch Adam training over telling/pointing records. Returns the
-    trained params and the per-epoch mean loss curve.
+    trained params, views of one new flat parameter vector, and the
+    per-epoch mean loss curve.
     """
-    params = {k: v.copy() for k, v in params.items()}
-    states = {name: AdamState.for_param(p, train_cfg.learning_rate)
-              for name, p in params.items()}
+    flat = flatten(params, cfg)
+    if flat is params[min(params)].base:  # the caller's own vector
+        flat = flat.copy()
+    params = param_views(flat, cfg)
+    # np.zeros is calloc-backed: no page is touched before the first batch
+    grad = np.zeros(flat.shape)
+    grads = param_views(grad, cfg)
+    state = AdamState.for_param(flat, train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
     order = np.arange(len(records))
-    grads = zero_grads(cfg)  # one buffer, zeroed and refilled by each batch
     curve = []
     for epoch in range(train_cfg.epochs):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
-            for g in grads.values():
-                g.fill(0.0)
+            grad.fill(0.0)
             batch_loss = 0.0
             for idx in batch:
                 rec = records[idx]
@@ -509,15 +562,10 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
                         f"non-finite loss on {rec.qa_id} "
                         f"(epoch {epoch}, batch at {start})")
                 batch_loss += loss
-            inv = 1.0 / len(batch)
-            for g in grads.values():
-                g *= inv
-            step = grads
+            grad *= 1.0 / len(batch)
             if train_cfg.clip_norm is not None:
-                step = clip_grads_by_norm(grads, train_cfg.clip_norm)
-            for name in sorted(params):
-                params[name] = adam_step(params[name], step[name],
-                                         states[name])
+                clip_grads_by_norm(grad, train_cfg.clip_norm)
+            adam_step(flat, grad, state)
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(order))
     return params, curve
@@ -551,12 +599,14 @@ def save_checkpoint(params, cfg: ModelConfig, vocab, path) -> None:
         for token in vocab.index_to_token:
             f.write(binfmt.string(token))
         binfmt.pad(f)
-        for name in sorted(param_shapes(cfg)):
-            f.write(binfmt.array(params[name], "<f8"))
+        f.write(binfmt.array(flatten(params, cfg), "<f8"))
 
 
 def load_checkpoint(path):
-    """Return (params, cfg, vocab); tensors are views of the file's bytes."""
+    """
+    Return (params, cfg, vocab). The params are the `param_views` of one
+    read-only flat parameter vector that views the file's bytes.
+    """
     r = binfmt.Reader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     sizes = {name: r.i64(name) for name in _CFG_FIELDS}
     if min(sizes.values()) < 1:
@@ -571,7 +621,6 @@ def load_checkpoint(path):
         raise FormatError("checkpoint vocabulary must start with <unk>, "
                           "<end> and hold each token once")
     r.pad()
-    params = {name: r.array("<f8", shape, f"tensor {name}")
-              for name, shape in sorted(param_shapes(cfg).items())}
+    vec = r.array("<f8", (param_count(cfg),), "parameter vector")
     r.end()
-    return params, cfg, datamodel.Vocabulary.from_tokens(tokens)
+    return param_views(vec, cfg), cfg, datamodel.Vocabulary.from_tokens(tokens)

@@ -3,13 +3,16 @@ Plain per-gate reference for the attention LSTM: one tensor per gate
 (`Wv_i`, `Wh_f`, `b_o`, ...), a Python loop over the steps and one outer
 product per weight per step. It is the arithmetic the stacked, hoisted core
 in `groundedqa.qamodel` must reproduce, kept as an oracle for the tests.
+`train` is the per-tensor Adam loop that training on one flat parameter
+vector must reproduce bitwise.
 """
 
 import numpy as np
 
-from groundedqa import datamodel
+from groundedqa import datamodel, qamodel
 from groundedqa.qamodel import LEARNED, UNIFORM, slice_pack
-from groundedqa.numkit import sigmoid, softmax_stable
+from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                               AdamState, sigmoid, softmax_stable)
 
 GATES = ("i", "f", "o", "g")  # also the block order of the stacked weights
 _STACKED = {"Wv": "Wv_", "Wh": "Wh_", "Wr": "Wr_", "b_gates": "b_"}
@@ -232,3 +235,50 @@ def record_loss_and_grads(params, cfg, record, pack, vocab, mode):
     feats = [pack.region_features[c][:cfg.feat_dim] for c in cands]
     return pointing_loss_and_grads(params, cfg, pack, q_tokens, feats,
                                    target, mode)
+
+
+def adam_step(param, grad, state):
+    """Whole-array Adam: rebinds the moments and returns a new param."""
+    state.step_count += 1
+    t = state.step_count
+    state.first_moment = (ADAM_BETA1 * state.first_moment
+                          + (1 - ADAM_BETA1) * grad)
+    state.second_moment = (ADAM_BETA2 * state.second_moment
+                           + (1 - ADAM_BETA2) * grad * grad)
+    m_hat = state.first_moment / (1 - ADAM_BETA1 ** t)
+    v_hat = state.second_moment / (1 - ADAM_BETA2 ** t)
+    return param - state.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                  + ADAM_EPSILON)
+
+
+def train(records, packs, vocab, params, cfg, train_cfg):
+    """
+    Mini-batch training with one gradient array, one AdamState and one
+    Adam update per tensor, over the stacked model's loss and gradients.
+    It does not clip.
+    """
+    params = {k: v.copy() for k, v in params.items()}
+    states = {name: AdamState.for_param(p, train_cfg.learning_rate)
+              for name, p in params.items()}
+    rng = np.random.default_rng(train_cfg.seed)
+    order = np.arange(len(records))
+    curve = []
+    for _ in range(train_cfg.epochs):
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), train_cfg.batch_size):
+            batch = order[start:start + train_cfg.batch_size]
+            grads = qamodel.zero_grads(cfg)
+            batch_loss = 0.0
+            for idx in batch:
+                rec = records[idx]
+                batch_loss += qamodel.record_loss_and_grads(
+                    params, cfg, rec, packs[rec.image_id], vocab, grads)
+            epoch_loss += batch_loss
+            for g in grads.values():
+                g *= 1.0 / len(batch)
+            for name in sorted(params):
+                params[name] = adam_step(params[name], grads[name],
+                                         states[name])
+        curve.append(epoch_loss / len(order))
+    return params, curve

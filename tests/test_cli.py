@@ -355,6 +355,18 @@ class TestInputs:
                     "--out", str(tmp_path / "o")) == 2
         assert "No such file" in capsys.readouterr().err
 
+    def test_eval_with_no_test_record_is_validation_error(
+            self, world, untrained_ckpt, tmp_path, capsys):
+        splits = tmp_path / "splits.tsv"
+        splits.write_text(open(world["splits"]).read().replace(
+            "\ttest\n", "\ttrain\n"))
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"], "--splits", str(splits),
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "no test records selected" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.txt").exists()
+
     def test_pack_under_another_images_name(self, world, tmp_path, capsys):
         features = tmp_path / "packs"
         shutil.copytree(world["features"], features)

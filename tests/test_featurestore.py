@@ -1,7 +1,9 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groundedqa.featurestore import (CONV_CELLS, CONV_CHANNELS, GLOBAL_DIM,
                                      FeaturePack, FormatError, pack_path,
@@ -119,6 +121,31 @@ class TestRejection:
                 with pytest.raises(FormatError, match="truncated"):
                     read_feature_pack(path)
             start += size
+
+    _IDS = st.text(max_size=12)  # any text, multi-byte UTF-8 included
+
+    @settings(max_examples=40, deadline=None)
+    @given(image_id=_IDS, region_ids=st.lists(_IDS, max_size=3, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_every_strict_prefix_rejected(self, image_id, region_ids, seed,
+                                          data):
+        # every array in a file has a fixed shape, so the region count and
+        # the lengths of the ids are what vary the layout
+        rng = np.random.default_rng(seed)
+        pack = FeaturePack(
+            image_id=image_id,
+            global_feature=rng.normal(size=GLOBAL_DIM),
+            conv_map=rng.normal(size=(CONV_CELLS, CONV_CHANNELS)),
+            region_features={rid: rng.normal(size=GLOBAL_DIM)
+                             for rid in region_ids})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.fpk")
+            write_feature_pack(pack, path)
+            size = os.path.getsize(path)
+            cut = data.draw(st.integers(0, size - 1), label="cut")
+            os.truncate(path, cut)
+            with pytest.raises(FormatError, match="truncated"):
+                read_feature_pack(path)
 
     def test_duplicate_region_id_rejected(self, tmp_path):
         path = tmp_path / "p.fpk"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from groundedqa.numkit import (AdamState, DimensionError, adam_step,
+from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK,
+                               ADAM_EPSILON, AdamState, DimensionError,
+                               adam_step, clip_grads_by_norm,
                                finite_diff_grad_check, softmax_stable)
 
 
@@ -88,6 +90,53 @@ class TestAdam:
         p = np.zeros(3)
         with pytest.raises(DimensionError):
             adam_step(p, np.zeros(4), AdamState.for_param(p))
+
+    def test_rejects_an_array_it_cannot_update_in_place(self):
+        p = np.zeros((4, 3))[:, 0]
+        with pytest.raises(TypeError):
+            adam_step(p, np.zeros(4), AdamState.for_param(p))
+
+    def test_chunked_matches_per_element_formula_bitwise(self):
+        # two full chunks and a partial one
+        n = 2 * ADAM_CHUNK + 123
+        rng = np.random.default_rng(4)
+        p = rng.normal(size=n)
+        st = AdamState.for_param(p, learning_rate=1e-3)
+        x, m, v = p.tolist(), [0.0] * n, [0.0] * n
+        for t in (1, 2, 3):
+            grad = rng.normal(size=n)
+            g = grad.tolist()
+            for i in range(n):
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g[i]
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g[i] * g[i]
+                x[i] = x[i] - 1e-3 * (m[i] / (1 - ADAM_BETA1 ** t)) / (
+                    math.sqrt(v[i] / (1 - ADAM_BETA2 ** t)) + ADAM_EPSILON)
+            assert adam_step(p, grad, st) is p
+            assert np.array_equal(grad, g)  # read, never written
+            assert np.array_equal(p, x)
+            assert np.array_equal(st.first_moment, m)
+            assert np.array_equal(st.second_moment, v)
+
+
+class TestClip:
+    def test_below_the_bound_is_a_no_op(self):
+        g = np.array([0.3, -0.4])
+        assert clip_grads_by_norm(g, 1.0) == pytest.approx(0.5)
+        assert np.array_equal(g, [0.3, -0.4])
+
+    def test_clipped_norm_equals_the_bound(self):
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=1000)
+        before = g.copy()
+        norm = clip_grads_by_norm(g, 0.25)
+        assert norm > 0.25
+        assert abs(np.linalg.norm(g) - 0.25) < 1e-12
+        assert np.array_equal(g, before * (0.25 / norm))
+
+    def test_zero_gradient_stays_zero(self):
+        g = np.zeros(5)
+        assert clip_grads_by_norm(g, 0.0) == 0.0
+        assert np.array_equal(g, np.zeros(5))
 
 
 class TestGradCheck:

@@ -543,6 +543,56 @@ class TestTrain:
                                  tc)
         assert curve[-1] < curve[0]
 
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_bitwise_equal_to_per_tensor_loop(self, micro_world, mode):
+        corpus, packs, vocab, cfg, params = micro_world
+        cfg = replace(cfg, mode=mode)
+        # 16 records in batches of 3: five full batches and a partial one
+        tc = qamodel.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-2,
+                                 seed=4)
+        trained, curve = qamodel.train(corpus.records, packs, vocab, params,
+                                       cfg, tc)
+        expected, expected_curve = lstm_reference.train(
+            corpus.records, packs, vocab, params, cfg, tc)
+        assert curve == expected_curve
+        for name in expected:
+            assert np.array_equal(trained[name], expected[name]), name
+
+    def test_returns_views_of_a_new_vector(self, micro_world):
+        corpus, packs, vocab, cfg, params = micro_world
+        tc = qamodel.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-2)
+        trained, _ = qamodel.train(corpus.records, packs, vocab, params, cfg,
+                                   tc)
+        flat = qamodel.flatten(trained, cfg)
+        assert all(view.base is flat for view in trained.values())
+        before = flat.copy()
+        again, _ = qamodel.train(corpus.records, packs, vocab, trained, cfg,
+                                 tc)
+        assert np.array_equal(flat, before)  # the input is never updated
+        assert not np.shares_memory(qamodel.flatten(again, cfg), flat)
+
+    def test_clip_norm_shrinks_the_steps(self, micro_world):
+        corpus, packs, vocab, cfg, params = micro_world
+        moved = {}
+        for clip in (None, 1e-12):
+            tc = qamodel.TrainConfig(epochs=1, batch_size=8,
+                                     learning_rate=1e-2, clip_norm=clip)
+            trained, _ = qamodel.train(corpus.records, packs, vocab, params,
+                                       cfg, tc)
+            moved[clip] = max(np.abs(trained[n] - params[n]).max()
+                              for n in params)
+        # a clipped gradient is far below Adam's epsilon, so the steps shrink
+        assert 0 < moved[1e-12] < 1e-3 * moved[None]
+
+
+def test_add_outer_is_bitwise_np_outer():
+    rng = np.random.default_rng(8)
+    out = rng.normal(size=(37, 5000))  # blocks of 13 rows, the last partial
+    a, b = rng.normal(size=37), rng.normal(size=5000)
+    expected = out + np.outer(a, b)
+    qamodel._add_outer(out, a, b)
+    assert np.array_equal(out, expected)
+
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path, micro_world):
@@ -562,6 +612,28 @@ class TestCheckpoints:
                 assert not loaded[name].flags.writeable
             save_checkpoint(loaded, cfg2, vocab2, p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tensor_region_is_the_flat_parameter_vector(self, tmp_path,
+                                                          micro_world):
+        corpus, packs, vocab, cfg, params = micro_world
+        tc = qamodel.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-2)
+        trained, _ = qamodel.train(corpus.records, packs, vocab, params, cfg,
+                                   tc)
+        flat_path, split_path = tmp_path / "flat.ckpt", tmp_path / "split.ckpt"
+        save_checkpoint(trained, cfg, vocab, flat_path)
+        save_checkpoint({k: v.copy() for k, v in trained.items()}, cfg, vocab,
+                        split_path)
+        data = flat_path.read_bytes()
+        assert data == split_path.read_bytes()
+        assert data.endswith(b"".join(trained[n].astype("<f8").tobytes()
+                                      for n in sorted(trained)))
+        loaded, _, _ = load_checkpoint(flat_path)
+        vec = qamodel.flatten(loaded, cfg)  # no copy: the views share it
+        assert vec.shape == (qamodel.param_count(cfg),)
+        assert (len(data) - vec.nbytes) % 8 == 0
+        for name, view in loaded.items():
+            assert view.base is vec, name
+            assert view.flags.aligned and not view.flags.writeable
 
     def test_unknown_mode_rejected(self, tmp_path, micro_world):
         _, _, vocab, cfg, params = micro_world
