@@ -143,6 +143,14 @@ def _load_model(cfg: RunConfig):
         raise ValidationError(
             f"--mode {cfg.mode} does not match the {mc.mode} attention "
             f"mode of checkpoint {cfg.checkpoint}")
+    for name, limit in (("feat_dim", featurestore.GLOBAL_DIM),
+                        ("conv_cells", featurestore.CONV_CELLS),
+                        ("conv_channels", featurestore.CONV_CHANNELS)):
+        size = getattr(mc, name)
+        if size > limit:
+            raise ValidationError(
+                f"checkpoint {cfg.checkpoint}: {name} {size} exceeds the "
+                f"feature pack's {limit}")
     return params, mc, vocab
 
 
@@ -174,7 +182,10 @@ def _require(cfg: RunConfig, *names):
 
 
 def _open_run(cfg: RunConfig, split=None):
-    """Prepare --out; return echo, corpus, selected records, their packs."""
+    """
+    Prepare --out; return echo, corpus, selected records, their packs. Each
+    pack must hold the region of every pointing candidate of its records.
+    """
     _require(cfg, "corpus", "features")
     echo = _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
@@ -191,6 +202,15 @@ def _open_run(cfg: RunConfig, split=None):
         if pack.image_id != image_id:
             raise ValidationError(f"{paths[image_id]}: holds the pack of "
                                   f"image {pack.image_id!r}")
+    for rec in records:
+        if rec.kind != "pointing":
+            continue
+        regions = packs[rec.image_id].region_features
+        for rid in (rec.answer, *rec.distractors):
+            if rid not in regions:
+                raise ValidationError(
+                    f"{paths[rec.image_id]}: no region feature for {rid!r}, "
+                    f"a candidate of record {rec.qa_id}")
     return echo, corpus, records, packs
 
 
@@ -260,6 +280,11 @@ def _cmd_eval(cfg: RunConfig) -> int:
     report = evalkit.evaluate(predict, records, packs)
     with open(os.path.join(cfg.out, "report.txt"), "w") as f:
         f.write(report.to_text(header_lines=echo))
+    if report.errors:
+        qa_id, msg = report.errors[0]
+        raise ValidationError(
+            f"{len(report.errors)} of {report.total} records failed; "
+            f"first {qa_id}: {msg}")
     return EXIT_OK
 
 

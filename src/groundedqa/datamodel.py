@@ -189,9 +189,6 @@ def dedup_groundings(groundings: list) -> list:
 class SplitAssignment:
     assignment: dict  # qa_id -> "train" | "val" | "test"
 
-    def ids(self, split: str) -> list:
-        return [q for q, s in self.assignment.items() if s == split]
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -235,6 +232,8 @@ def read_splits(path) -> SplitAssignment:
             qa_id, split = line.split("\t")
             if split not in ("train", "val", "test"):
                 raise CorpusError(f"bad split label {split!r} for {qa_id}")
+            if qa_id in assignment:
+                raise CorpusError(f"{path}: duplicate qa_id {qa_id}")
             assignment[qa_id] = split
     return SplitAssignment(assignment=assignment)
 

@@ -1,6 +1,6 @@
 """
-Multiple-choice evaluation with per-category breakdown, human-vote
-aggregation, and the attention heat-map / grounding analyses.
+Multiple-choice evaluation with per-category breakdown, and the attention
+heat-map / grounding analyses.
 """
 
 from collections import Counter
@@ -70,18 +70,6 @@ def evaluate(predict_fn, records, packs) -> EvalReport:
         telling=_rate("telling"), pointing=_rate("pointing"),
         overall=(sum(correct.values()) / total) if total else 0.0,
         total=total, errors=errors)
-
-
-def majority_vote(responses) -> int:
-    """Plurality of exactly 5 responses in 0..3; ties to the lowest index."""
-    responses = list(responses)
-    if len(responses) != 5:
-        raise ValueError(f"expected 5 responses, got {len(responses)}")
-    if any(not 0 <= r <= 3 for r in responses):
-        raise ValueError(f"responses must be candidate indices 0..3: "
-                         f"{responses}")
-    counts = Counter(responses)
-    return min(counts, key=lambda r: (-counts[r], r))
 
 
 @dataclass

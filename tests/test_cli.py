@@ -397,6 +397,81 @@ class TestInputs:
         assert "not a plain file name" in capsys.readouterr().err
 
 
+def _drop_a_region(world, tmp_path, split):
+    """Copy the packs; delete one candidate region of a `split` record."""
+    assignment = datamodel.read_splits(world["splits"]).assignment
+    rec = min((r for r in datamodel.parse_corpus(world["corpus"]).records
+               if r.kind == "pointing" and assignment[r.qa_id] == split),
+              key=lambda r: r.qa_id)
+    features = tmp_path / "packs"
+    shutil.copytree(world["features"], features)
+    path = featurestore.pack_path(str(features), rec.image_id)
+    pack = featurestore.read_feature_pack(path)
+    rid = rec.distractors[0]
+    regions = {k: v for k, v in pack.region_features.items() if k != rid}
+    featurestore.write_feature_pack(replace(pack, region_features=regions),
+                                    path)
+    return str(features), path, rid, rec.qa_id
+
+
+class TestPreflight:
+    """Inputs that cannot serve the run are rejected before any compute."""
+
+    @pytest.mark.parametrize("command,split", [("train", "train"),
+                                               ("eval", "test")])
+    def test_missing_candidate_region_names_it(
+            self, world, untrained_ckpt, tmp_path, capsys, command, split):
+        features, path, rid, qa_id = _drop_a_region(world, tmp_path, split)
+        extra = (["--epochs", "1"] if command == "train"
+                 else ["--checkpoint", str(untrained_ckpt)])
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", features, "--splits", world["splits"],
+                    *extra, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert path in err and rid in err and qa_id in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+        assert not (tmp_path / "o" / "report.txt").exists()
+
+    @pytest.mark.parametrize("name,size", [("feat_dim", 5000),
+                                           ("conv_cells", 197),
+                                           ("conv_channels", 513)])
+    def test_checkpoint_wider_than_the_packs(self, world, tmp_path, capsys,
+                                             name, size):
+        vocab = datamodel.build_vocab(
+            datamodel.parse_corpus(world["corpus"]).records)
+        mc = replace(qamodel.ModelConfig.micro(vocab.size), **{name: size})
+        ckpt = tmp_path / "model.ckpt"
+        qamodel.save_checkpoint(qamodel.init_params(mc, 0), mc, vocab, ckpt)
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert f"{name} {size}" in capsys.readouterr().err
+
+    def test_eval_with_a_failed_record_exits_2_after_the_report(
+            self, world, untrained_ckpt, tmp_path, monkeypatch, capsys):
+        real = qamodel.predict_mc
+        failed = []
+
+        def flaky(rec, *args):
+            if not failed:
+                failed.append(rec.qa_id)
+                raise RuntimeError("boom")
+            return real(rec, *args)
+
+        monkeypatch.setattr(qamodel, "predict_mc", flaky)
+        out = tmp_path / "o"
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(out)) == 2
+        assert f"# error\t{failed[0]}\tRuntimeError: boom" \
+            in (out / "report.txt").read_text()
+        err = capsys.readouterr().err
+        assert "1 of 4 records failed" in err and failed[0] in err
+
+
 class TestGradcheck:
     def test_passes_on_small_model(self, tmp_path, capsys):
         assert _run("gradcheck", "--seed", "2",

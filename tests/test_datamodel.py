@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,16 +112,17 @@ def _corpus_of(n):
     return Corpus(images=images, records=records)
 
 
+def _split_sizes(splits):
+    counts = Counter(splits.assignment.values())
+    return counts["train"], counts["val"], counts["test"]
+
+
 class TestSplits:
     def test_sizes_10(self):
-        s = make_splits(_corpus_of(10), seed=0)
-        assert (len(s.ids("train")), len(s.ids("val")), len(s.ids("test"))) \
-            == (5, 2, 3)
+        assert _split_sizes(make_splits(_corpus_of(10), seed=0)) == (5, 2, 3)
 
     def test_sizes_7(self):
-        s = make_splits(_corpus_of(7), seed=1)
-        assert (len(s.ids("train")), len(s.ids("val")), len(s.ids("test"))) \
-            == (4, 1, 2)
+        assert _split_sizes(make_splits(_corpus_of(7), seed=1)) == (4, 1, 2)
 
     def test_deterministic(self):
         c = _corpus_of(23)
@@ -131,16 +133,20 @@ class TestSplits:
         c = _corpus_of(37)
         s = make_splits(c, 3)
         all_ids = {r.qa_id for r in c.records}
-        assert set(s.assignment) == all_ids
-        train, val, test = (set(s.ids(k)) for k in ("train", "val", "test"))
-        assert train | val | test == all_ids
-        assert not (train & val or train & test or val & test)
+        assert set(s.assignment) == all_ids  # one label per id: disjoint
+        assert set(s.assignment.values()) == {"train", "val", "test"}
 
     def test_file_round_trip(self, tmp_path):
         s = make_splits(_corpus_of(11), 4)
         path = tmp_path / "splits.tsv"
         write_splits(s, path)
         assert read_splits(path).assignment == s.assignment
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "splits.tsv"
+        path.write_text("t0\ttrain\nt1\tval\nt0\ttest\n")
+        with pytest.raises(CorpusError, match="t0"):
+            read_splits(path)
 
 
 class TestVocabulary:

@@ -5,7 +5,7 @@ from groundedqa import datamodel
 from groundedqa.datamodel import BoundingBox, QARecord
 from groundedqa.evalkit import (HeatMap, accuracy_by_frequency_bin,
                                 attention_heatmap, evaluate,
-                                export_heatmap_image, majority_vote,
+                                export_heatmap_image,
                                 peak_in_box_rate)
 
 
@@ -71,30 +71,6 @@ class TestEvaluate:
         report = evaluate(predict, records, {"im": None})
         assert report.overall == 7 / 8
         assert len(report.errors) == 1 and report.errors[0][0] == "t0"
-
-
-class TestMajorityVote:
-    def test_strict_majority(self):
-        assert majority_vote([2, 2, 2, 0, 1]) == 2
-
-    def test_tie_break_lowest(self):
-        assert majority_vote([0, 0, 1, 1, 3]) == 0
-        assert majority_vote([1, 1, 0, 0, 3]) == 0
-
-    def test_unanimous(self):
-        assert majority_vote([3, 3, 3, 3, 3]) == 3
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(0)
-        votes = [0, 2, 2, 1, 2]
-        for _ in range(10):
-            shuffled = list(votes)
-            rng.shuffle(shuffled)
-            assert majority_vote(shuffled) == 2
-
-    def test_wrong_count(self):
-        with pytest.raises(ValueError):
-            majority_vote([1, 2, 3])
 
 
 class TestAttentionHeatmap:
