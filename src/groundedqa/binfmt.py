@@ -58,9 +58,7 @@ class Reader:
 
     def array(self, dtype: str, shape: tuple, field: str) -> np.ndarray:
         n = math.prod(shape) * np.dtype(dtype).itemsize
-        # through a memoryview, so the array, not the file buffer, is the
-        # base of the views taken of it
-        return np.frombuffer(self._slice(n, field).data, dtype).reshape(shape)
+        return np.frombuffer(self._slice(n, field), dtype).reshape(shape)
 
     def pad(self) -> None:
         """Skip the zero bytes that `pad` wrote; any other byte is an error."""

@@ -248,10 +248,11 @@ def _cmd_train(cfg: RunConfig) -> int:
         raise ValidationError("no training records selected")
     vocab = datamodel.build_vocab(records)
     mc = _model_config(cfg, vocab.size)
-    params = qamodel.init_params(mc, cfg.seed)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
                              learning_rate=cfg.lr, seed=cfg.seed)
-    params, curve = qamodel.train(records, packs, vocab, params, mc, tc)
+    # no local holds the init params, so they are freed once train copies them
+    params, curve = qamodel.train(records, packs, vocab,
+                                  qamodel.init_params(mc, cfg.seed), mc, tc)
     qamodel.save_checkpoint(params, mc, vocab,
                             os.path.join(cfg.out, "model.ckpt"))
     with open(os.path.join(cfg.out, "loss_curve.txt"), "w") as f:
@@ -339,7 +340,7 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
-    _, corpus, records, packs = _open_run(cfg)
+    _, corpus, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
     dims = {image_id: (w, h) for image_id, w, h in corpus.images}
     for rec in records:

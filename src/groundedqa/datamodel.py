@@ -90,6 +90,12 @@ class QARecord:
                     f"resolve to groundings")
 
 
+def check_file_name(name: str, what: str) -> None:
+    """Raise unless `name` is a plain file name: no directory, no `..`."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise CorpusError(f"{what} {name!r} is not a plain file name")
+
+
 @dataclass
 class Corpus:
     images: list  # (image_id, width, height)
@@ -106,6 +112,7 @@ class Corpus:
         seen = set()
         for rec in self.records:
             rec.validate()
+            check_file_name(rec.qa_id, "qa_id")  # heatmap names files by it
             if rec.qa_id in seen:
                 raise CorpusError(f"duplicate qa_id {rec.qa_id}")
             seen.add(rec.qa_id)
@@ -225,11 +232,15 @@ def write_splits(splits: SplitAssignment, path, header_lines=()) -> None:
 def read_splits(path) -> SplitAssignment:
     assignment = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            qa_id, split = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected qa_id<TAB>split, got {line!r}")
+            qa_id, split = fields
             if split not in ("train", "val", "test"):
                 raise CorpusError(f"bad split label {split!r} for {qa_id}")
             if qa_id in assignment:

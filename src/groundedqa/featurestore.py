@@ -19,6 +19,7 @@ import numpy as np
 
 from . import binfmt
 from .binfmt import FormatError
+from .datamodel import check_file_name
 
 MAGIC = b"V7WF"
 VERSION = 1
@@ -54,8 +55,7 @@ class FeaturePack:
 
 def pack_path(features_dir, image_id: str) -> str:
     """The file of an image's pack; the id must be a plain file name."""
-    if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
-        raise ValueError(f"image id {image_id!r} is not a plain file name")
+    check_file_name(image_id, "image id")
     return os.path.join(features_dir, f"{image_id}.fpk")
 
 

@@ -22,10 +22,11 @@ then the flat parameter vector as <f8. The config fixes every name and
 shape, and the file needs no other file.
 
 The flat parameter vector holds every tensor of `param_shapes(cfg)` in
-sorted name order, each C-ordered; `param_views` names its parts. Training
-keeps the params, their gradient and both Adam moments in vectors of this
-layout, so one call zeroes, scales or updates all of them, and a checkpoint
-writes and reads the params as one array.
+its order (sorted by name), each C-ordered; `param_views` names its parts.
+`train` copies its input params into a new vector of this layout once, and
+keeps their gradient and both Adam moments in vectors of it too, so one
+call zeroes, scales or updates all of them. A checkpoint writes the tensors
+one after another in layout order and reads them back as one array.
 """
 
 import math
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt, datamodel
+from . import binfmt, datamodel, featurestore
 from .binfmt import FormatError
 from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
                      clip_grads_by_norm, sigmoid, softmax_stable)
@@ -53,9 +54,9 @@ class ModelConfig:
     hidden: int = 512  # also the embedding width
     d_a: int = 512
     vocab_size: int = 0
-    conv_cells: int = 196
-    conv_channels: int = 512
-    feat_dim: int = 4096
+    conv_cells: int = featurestore.CONV_CELLS
+    conv_channels: int = featurestore.CONV_CHANNELS
+    feat_dim: int = featurestore.GLOBAL_DIM
     mode: str = LEARNED  # attention mode, one of MODES
 
     @classmethod
@@ -69,9 +70,10 @@ class ModelConfig:
 
 
 def param_shapes(cfg: ModelConfig) -> dict:
+    """Name -> shape, in the layout order of the flat parameter vector."""
     h, da, v = cfg.hidden, cfg.d_a, cfg.vocab_size
     ch, ft = cfg.conv_channels, cfg.feat_dim
-    return {
+    return dict(sorted({
         "W_img": (h, ft), "b_img": (h,),
         "W_word": (h, v),
         "W_he": (da, h), "W_ce": (da, ch), "w_a": (da,), "b_a": (1,),
@@ -79,7 +81,7 @@ def param_shapes(cfg: ModelConfig) -> dict:
         "b_gates": (4 * h,),
         "W_out": (v, h), "b_out": (v,),
         "W_ptr": (h, ft), "b_ptr": (h,),
-    }
+    }.items()))
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
@@ -118,28 +120,11 @@ def param_count(cfg: ModelConfig) -> int:
 def param_views(vec: np.ndarray, cfg: ModelConfig) -> dict:
     """Name -> view of its part of the flat parameter vector `vec`."""
     views, start = {}, 0
-    for name, shape in sorted(param_shapes(cfg).items()):
+    for name, shape in param_shapes(cfg).items():
         stop = start + math.prod(shape)
         views[name] = vec[start:stop].reshape(shape)
         start = stop
     return views
-
-
-def flatten(params: dict, cfg: ModelConfig) -> np.ndarray:
-    """
-    The params as one flat parameter vector. If they are the
-    `param_views` of one, that vector itself, else a float64 copy.
-    """
-    names = sorted(param_shapes(cfg))
-    vec = params[names[0]].base
-    if (isinstance(vec, np.ndarray) and vec.dtype == np.float64
-            and vec.shape == (param_count(cfg),)):
-        views = param_views(vec, cfg)
-        if all(params[n].__array_interface__ == views[n].__array_interface__
-               for n in names):
-            return vec
-    return np.concatenate([np.ravel(params[n]) for n in names],
-                          dtype=np.float64)
 
 
 def _add_outer(out, a, b):
@@ -533,12 +518,14 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     """
     Mini-batch Adam training over telling/pointing records. Returns the
     trained params, views of one new flat parameter vector, and the
-    per-epoch mean loss curve.
+    per-epoch mean loss curve. The input params are copied into that vector
+    once and never modified.
     """
-    flat = flatten(params, cfg)
-    if flat is params[min(params)].base:  # the caller's own vector
-        flat = flat.copy()
-    params = param_views(flat, cfg)
+    flat = np.empty(param_count(cfg))
+    views = param_views(flat, cfg)
+    for name, view in views.items():
+        view[...] = params[name]
+    params = views
     # np.zeros is calloc-backed: no page is touched before the first batch
     grad = np.zeros(flat.shape)
     grads = param_views(grad, cfg)
@@ -599,7 +586,8 @@ def save_checkpoint(params, cfg: ModelConfig, vocab, path) -> None:
         for token in vocab.index_to_token:
             f.write(binfmt.string(token))
         binfmt.pad(f)
-        f.write(binfmt.array(flatten(params, cfg), "<f8"))
+        for name in param_shapes(cfg):
+            f.write(binfmt.array(params[name], "<f8"))
 
 
 def load_checkpoint(path):

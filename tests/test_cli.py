@@ -1,6 +1,7 @@
 import filecmp
 import os
 import shutil
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -196,6 +197,42 @@ class TestPipeline:
         assert len(pgms) == 6
         with open(out / pgms[0], "rb") as f:
             assert f.read(2) == b"P5"
+
+    def test_heatmap_maps_the_test_split(self, world, trained_run, tmp_path):
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--checkpoint", str(trained_run / "model.ckpt"),
+                    "--out", str(tmp_path)) == 0
+        assignment = datamodel.read_splits(world["splits"]).assignment
+        tests = {f"{q}.pgm" for q, split in assignment.items()
+                 if split == "test"}
+        assert len(tests) == 4
+        assert {n for n in os.listdir(tmp_path) if n.endswith(".pgm")} \
+            == tests
+
+    def test_init_params_freed_before_the_first_step(self, world, tmp_path,
+                                                     monkeypatch):
+        """train copies the init params; no caller keeps a second set."""
+        real_init, real_step = qamodel.init_params, qamodel.adam_step
+        refs, alive = [], []
+
+        def init_params(*args):
+            params = real_init(*args)
+            refs.extend(weakref.ref(arr) for arr in params.values())
+            return params
+
+        def adam_step(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_step(*args)
+
+        monkeypatch.setattr(qamodel, "init_params", init_params)
+        monkeypatch.setattr(qamodel, "adam_step", adam_step)
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--epochs", "1",
+                    "--out", str(tmp_path)) == 0
+        assert refs and alive == [0]
 
     def test_v1_checkpoint_is_validation_error(self, world, untrained_ckpt,
                                                capsys):
@@ -395,6 +432,22 @@ class TestInputs:
                     "--features", str(tmp_path / "packs"), "--gold-stub",
                     "--out", str(tmp_path / "o")) == 2
         assert "not a plain file name" in capsys.readouterr().err
+
+    def test_qa_id_outside_the_heatmap_directory(self, world, untrained_ckpt,
+                                                 tmp_path, capsys):
+        corpus = datamodel.parse_corpus(world["corpus"])
+        corpus.records[-1] = replace(corpus.records[-1], qa_id="../escaped")
+        path = tmp_path / "corpus.json"
+        datamodel.write_corpus(corpus, path)
+        maps = tmp_path / "maps"
+        assert _run("heatmap", "--corpus", str(path),
+                    "--features", world["features"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(maps / "sub")) == 2
+        assert "'../escaped' is not a plain file name" \
+            in capsys.readouterr().err
+        assert not [n for _, _, names in os.walk(tmp_path) for n in names
+                    if n.endswith(".pgm")]
 
 
 def _drop_a_region(world, tmp_path, split):

@@ -148,6 +148,15 @@ class TestSplits:
         with pytest.raises(CorpusError, match="t0"):
             read_splits(path)
 
+    @pytest.mark.parametrize("line", ["t1 val", "t1\tval\tx"])
+    def test_line_without_exactly_one_tab_rejected(self, tmp_path, line):
+        path = tmp_path / "splits.tsv"
+        path.write_text(f"# header\nt0\ttrain\n{line}\n")
+        with pytest.raises(CorpusError) as err:
+            read_splits(path)
+        assert str(err.value) == (f"{path}:3: expected qa_id<TAB>split, "
+                                  f"got {line!r}")
+
 
 class TestVocabulary:
     def test_empty_training_set(self):

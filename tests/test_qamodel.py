@@ -563,13 +563,14 @@ class TestTrain:
         tc = qamodel.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-2)
         trained, _ = qamodel.train(corpus.records, packs, vocab, params, cfg,
                                    tc)
-        flat = qamodel.flatten(trained, cfg)
-        assert all(view.base is flat for view in trained.values())
-        before = flat.copy()
+        _assert_one_vector(trained, cfg)
+        before = {name: view.copy() for name, view in trained.items()}
         again, _ = qamodel.train(corpus.records, packs, vocab, trained, cfg,
                                  tc)
-        assert np.array_equal(flat, before)  # the input is never updated
-        assert not np.shares_memory(qamodel.flatten(again, cfg), flat)
+        _assert_one_vector(again, cfg)
+        for name, view in trained.items():  # the input is never updated
+            assert np.array_equal(view, before[name]), name
+            assert not np.shares_memory(again[name], view), name
 
     def test_clip_norm_shrinks_the_steps(self, micro_world):
         corpus, packs, vocab, cfg, params = micro_world
@@ -583,6 +584,21 @@ class TestTrain:
                               for n in params)
         # a clipped gradient is far below Adam's epsilon, so the steps shrink
         assert 0 < moved[1e-12] < 1e-3 * moved[None]
+
+
+def _assert_one_vector(params, cfg):
+    """The params tile one buffer back to back, in sorted name order."""
+    names = sorted(param_shapes(cfg))
+    assert list(param_shapes(cfg)) == names
+    assert list(params) == names
+    at = params[names[0]].ctypes.data
+    for name in names:
+        view = params[name]
+        assert view.shape == param_shapes(cfg)[name], name
+        assert view.dtype == np.float64 and view.flags.c_contiguous, name
+        assert view.ctypes.data == at, name
+        at += view.nbytes
+    assert len({id(view.base) for view in params.values()}) == 1
 
 
 def test_add_outer_is_bitwise_np_outer():
@@ -625,14 +641,13 @@ class TestCheckpoints:
                         split_path)
         data = flat_path.read_bytes()
         assert data == split_path.read_bytes()
-        assert data.endswith(b"".join(trained[n].astype("<f8").tobytes()
-                                      for n in sorted(trained)))
+        tensors = b"".join(trained[n].astype("<f8").tobytes()
+                           for n in sorted(trained))
+        assert data.endswith(tensors)
+        assert (len(data) - len(tensors)) % 8 == 0
         loaded, _, _ = load_checkpoint(flat_path)
-        vec = qamodel.flatten(loaded, cfg)  # no copy: the views share it
-        assert vec.shape == (qamodel.param_count(cfg),)
-        assert (len(data) - vec.nbytes) % 8 == 0
-        for name, view in loaded.items():
-            assert view.base is vec, name
+        _assert_one_vector(loaded, cfg)  # no copy per tensor
+        for view in loaded.values():
             assert view.flags.aligned and not view.flags.writeable
 
     def test_unknown_mode_rejected(self, tmp_path, micro_world):
