@@ -11,6 +11,8 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import datamodel, evalkit, featurestore, qamodel, synthdata
 from .numkit import NumericsError, finite_diff_grad_check
 
@@ -250,9 +252,11 @@ def _cmd_train(cfg: RunConfig) -> int:
     mc = _model_config(cfg, vocab.size)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
                              learning_rate=cfg.lr, seed=cfg.seed)
-    # no local holds the init params, so they are freed once train copies them
-    params, curve = qamodel.train(records, packs, vocab,
-                                  qamodel.init_params(mc, cfg.seed), mc, tc)
+    # float32 halves the memory traffic of every pass and of Adam; no local
+    # holds the init params, so they are freed once train copies them
+    params, curve = qamodel.train(
+        records, packs, vocab, qamodel.init_params(mc, cfg.seed, np.float32),
+        mc, tc)
     qamodel.save_checkpoint(params, mc, vocab,
                             os.path.join(cfg.out, "model.ckpt"))
     with open(os.path.join(cfg.out, "loss_curve.txt"), "w") as f:

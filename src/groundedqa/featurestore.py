@@ -6,7 +6,10 @@ File format v1, in the `binfmt` container: magic b"V7WF", u16 version 1,
 image_id (u32-length-prefixed UTF-8), 4096 <f4 global feature, 196*512 <f4
 conv map (row-major), u32 region count, then per region its id string and
 4096 <f4. Region ids are unique. Files always carry full-scale dims;
-in-memory packs may be smaller for desk-scale experiments. A features
+in-memory packs may be smaller for desk-scale experiments. A pack read from
+a file stays float32 in memory: its arrays are read-only views of the
+file's bytes, and the model casts them to its params' dtype as it reads
+them (a no-op for a float32 model). A features
 directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
 run reads only the packs of the records it selects.
 """
@@ -73,6 +76,7 @@ def write_feature_pack(pack: FeaturePack, path) -> None:
 
 
 def read_feature_pack(path) -> FeaturePack:
+    """The pack in `path`, as read-only float32 views of its bytes."""
     r = binfmt.Reader(path, MAGIC, VERSION, "pack")
     image_id = r.string("image_id")
     global_feature = r.array("<f4", (GLOBAL_DIM,), "global feature")
@@ -82,13 +86,10 @@ def read_feature_pack(path) -> FeaturePack:
         rid = r.string("region id")
         if rid in regions:
             raise FormatError(f"pack {image_id}: duplicate region id {rid!r}")
-        regions[rid] = r.array("<f4", (GLOBAL_DIM,), f"region {rid}") \
-            .astype(np.float64)
+        regions[rid] = r.array("<f4", (GLOBAL_DIM,), f"region {rid}")
     r.end()
-    pack = FeaturePack(image_id=image_id,
-                       global_feature=global_feature.astype(np.float64),
-                       conv_map=conv_map.astype(np.float64),
-                       region_features=regions)
+    pack = FeaturePack(image_id=image_id, global_feature=global_feature,
+                       conv_map=conv_map, region_features=regions)
     pack.validate()
     return pack
 

@@ -1,8 +1,9 @@
 """
-Dense float64 math kernels: stable softmax, Adam, gradient clipping and a
-central-difference gradient checker. Everything here is a pure function of
-its inputs except `adam_step` and `clip_grads_by_norm`, which update the
-arrays they are given in place.
+Dense math kernels: stable softmax, Adam, gradient clipping and a
+central-difference gradient checker. Each computes in the dtype of the
+arrays it is given: float32 for training, float64 (or wider) for the
+checks. Everything here is a pure function of its inputs except `adam_step`
+and `clip_grads_by_norm`, which update the arrays they are given in place.
 """
 
 from dataclasses import dataclass
@@ -63,32 +64,40 @@ class AdamState:
                   learning_rate: float = 1e-4) -> "AdamState":
         # np.zeros, not zeros_like: calloc leaves the pages untouched
         # until the first step writes them
-        return cls(first_moment=np.zeros(np.shape(param)),
-                   second_moment=np.zeros(np.shape(param)),
+        return cls(first_moment=np.zeros(param.shape, param.dtype),
+                   second_moment=np.zeros(param.shape, param.dtype),
                    learning_rate=learning_rate)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
     """
-    One bias-corrected Adam update of the float64 array `param`, in place.
-    Mutates `state`, reads `grad`, and returns `param`. It walks the arrays
-    ADAM_CHUNK elements at a time through two chunk-sized scratch buffers,
-    in the operation order of the textbook formula, so the result is
+    One bias-corrected Adam update of the float32 or float64 array `param`,
+    in place. Mutates `state`, reads `grad`, and returns `param`. The
+    gradient and both moments must have the param's dtype: a silent cast
+    would copy the whole vector every step. It walks the arrays ADAM_CHUNK
+    elements at a time through two chunk-sized scratch buffers of that
+    dtype, in the operation order of the textbook formula, so the result is
     bitwise that of the whole-array expressions.
     """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise DimensionError(
             f"param {param.shape} vs grad {grad.shape} vs "
             f"moment {state.first_moment.shape}")
-    if param.dtype != np.float64 or not param.flags.c_contiguous:
-        raise TypeError("adam_step updates a C-contiguous float64 array")
+    if (param.dtype not in (np.float32, np.float64)
+            or not param.flags.c_contiguous):
+        raise TypeError("adam_step updates a C-contiguous float32 or "
+                        "float64 array")
+    for what, arr in (("grad", grad), ("first moment", state.first_moment),
+                      ("second moment", state.second_moment)):
+        if arr.dtype != param.dtype:
+            raise TypeError(f"{what} is {arr.dtype}, param is {param.dtype}")
     state.step_count += 1
     t = state.step_count
     lr, c1, c2 = state.learning_rate, 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-    p, g = param.reshape(-1), np.asarray(grad, np.float64).reshape(-1)
+    p, g = param.reshape(-1), grad.reshape(-1)
     m = state.first_moment.reshape(-1)
     v = state.second_moment.reshape(-1)
-    buf = np.empty((2, min(p.size, ADAM_CHUNK)))
+    buf = np.empty((2, min(p.size, ADAM_CHUNK)), param.dtype)
     for lo in range(0, p.size, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, p.size)
         gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]

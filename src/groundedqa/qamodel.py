@@ -14,19 +14,27 @@ of the conv map and the input projection of every step once per sequence,
 outside the time loop, and backward turns the per-step gate gradients into
 one GEMM per weight.
 
-Checkpoint v4, a `binfmt` container: magic b"V7WM", u16 version 4, the
-`_CFG_FIELDS` as i64, the attention mode as a u32-length-prefixed UTF-8
-string, the `vocab_size` tokens in index order (<unk> and <end> first,
-each length-prefixed the same way), zero padding up to an 8-byte offset,
-then the flat parameter vector as <f8. The config fixes every name and
-shape, and the file needs no other file.
+Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
+run float32; gradient checks and the reference comparisons run float64 or
+wider. All tensors of one params dict share a dtype, and pack features are
+cast to it as a pass reads them (`slice_pack`, `region_feature`), so a
+float64 pack never widens a float32 pass.
+
+Checkpoint v5, a `binfmt` container: magic b"V7WM", u16 version 5, the
+`_CFG_FIELDS` as i64, the attention mode and then the tensor dtype (<f4 or
+<f8), each as a u32-length-prefixed UTF-8 string, the `vocab_size` tokens
+in index order (<unk> and <end> first, each length-prefixed the same way),
+zero padding up to an 8-byte offset, then the flat parameter vector in
+that dtype. The config fixes every name and shape, and the file needs no
+other file.
 
 The flat parameter vector holds every tensor of `param_shapes(cfg)` in
 its order (sorted by name), each C-ordered; `param_views` names its parts.
 `train` copies its input params into a new vector of this layout once, and
-keeps their gradient and both Adam moments in vectors of it too, so one
-call zeroes, scales or updates all of them. A checkpoint writes the tensors
-one after another in layout order and reads them back as one array.
+keeps their gradient and both Adam moments in vectors of it and of their
+dtype too, so one call zeroes, scales or updates all of them. A checkpoint
+writes the tensors one after another in layout order and reads them back
+as one array.
 """
 
 import math
@@ -84,16 +92,17 @@ def param_shapes(cfg: ModelConfig) -> dict:
     }.items()))
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict:
+def init_params(cfg: ModelConfig, seed: int, dtype=np.float64) -> dict:
     """
     Uniform[-s, s] weights with s = 1/sqrt(fan_in); zero biases. Each gate
     block of a stacked weight is drawn on its own, with its own fan-in, in
     the sorted order of the per-gate names (Wh_f, Wh_g, Wh_i, ...), so a
-    seed gives the same weights as a model with one tensor per gate.
+    seed gives the same weights as a model with one tensor per gate. Blocks
+    are drawn in float64 and stored in `dtype`.
     """
     rng = np.random.default_rng(seed)
     h = cfg.hidden
-    params = {name: np.zeros(shape)
+    params = {name: np.zeros(shape, dtype)
               for name, shape in param_shapes(cfg).items()}
     blocks = {name: arr for name, arr in params.items()
               if not name.startswith("b")}
@@ -111,6 +120,14 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
 def zero_grads(cfg: ModelConfig) -> dict:
     return {name: np.zeros(shape)
             for name, shape in param_shapes(cfg).items()}
+
+
+def _params_dtype(params) -> np.dtype:
+    """The dtype every tensor of `params` shares; TypeError if they mix."""
+    dtypes = {p.dtype for p in params.values()}
+    if len(dtypes) != 1:
+        raise TypeError(f"params mix dtypes {sorted(map(str, dtypes))}")
+    return dtypes.pop()
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -267,19 +284,31 @@ class EncoderState:
     proj: np.ndarray = None  # conv @ W_ce.T, shared by every decoded answer
 
 
-def slice_pack(pack, cfg: ModelConfig):
-    """View a (possibly full-scale) pack at this config's dimensions."""
-    return (pack.global_feature[:cfg.feat_dim],
-            pack.conv_map[:cfg.conv_cells, :cfg.conv_channels])
+def _features(arr, dtype):
+    """
+    `arr` in a pass's dtype; no copy when it already has it. A pack holds
+    float32 (read) or float64 (synthesized) values, so a wider pass reads
+    them as float64, and uniform attention's conv.mean keeps its bits.
+    """
+    if np.dtype(dtype).itemsize > 8:
+        dtype = np.float64
+    return arr.astype(dtype, copy=False)
 
 
-def region_feature(pack, grounding_id, cfg: ModelConfig):
-    return pack.region_features[grounding_id][:cfg.feat_dim]
+def slice_pack(pack, cfg: ModelConfig, dtype=np.float64):
+    """A (possibly full-scale) pack at this config's dimensions, in `dtype`."""
+    return (_features(pack.global_feature[:cfg.feat_dim], dtype),
+            _features(pack.conv_map[:cfg.conv_cells, :cfg.conv_channels],
+                      dtype))
+
+
+def region_feature(pack, grounding_id, cfg: ModelConfig, dtype):
+    return _features(pack.region_features[grounding_id][:cfg.feat_dim], dtype)
 
 
 def encode(pack, question_tokens, params, cfg) -> EncoderState:
     """Read the image then the question tokens; record the attention trace."""
-    feat, conv = slice_pack(pack, cfg)
+    feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
     run = _forward(params, conv, question_tokens, cfg.mode, feat=feat)
     return EncoderState(h=run.H[-1], c=run.C[-1], trace=list(run.A),
                         conv=conv, mode=cfg.mode, proj=run.proj)
@@ -318,7 +347,8 @@ def pointing_candidate_score(state: EncoderState, region_feat, params) -> float:
 def predict_mc(record, pack, params, vocab, cfg):
     """
     Score the record's 4 candidates (in their deterministic presentation
-    order) and return (chosen index, scores). Ties go to the lowest index.
+    order) and return (chosen index, scores). Ties go to the lowest index;
+    a non-finite score raises NumericsError.
     """
     cands, _ = datamodel.mc_candidates(record)
     q_tokens = vocab.encode(datamodel.tokenize(record.question))
@@ -329,8 +359,10 @@ def predict_mc(record, pack, params, vocab, cfg):
             a_tokens = vocab.encode(datamodel.tokenize(cand))
             scores.append(telling_answer_loglik(state, a_tokens, params))
         else:
-            feat = region_feature(pack, cand, cfg)
+            feat = region_feature(pack, cand, cfg, params["W_img"].dtype)
             scores.append(pointing_candidate_score(state, feat, params))
+    if not np.isfinite(scores).all():
+        raise NumericsError(f"non-finite candidate scores {scores}")
     best = int(np.argmax(scores))  # argmax returns the first maximum
     return best, scores
 
@@ -343,7 +375,7 @@ def attention_trace(record, pack, params, vocab, cfg) -> list:
     tokens = vocab.encode(datamodel.tokenize(record.question))
     if record.kind == "telling":
         tokens += vocab.encode(datamodel.tokenize(record.answer))
-    feat, conv = slice_pack(pack, cfg)
+    feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
     return list(_forward(params, conv, tokens, cfg.mode, feat=feat).A)
 
 
@@ -420,7 +452,7 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
     """
     if not a_tokens:
         raise ValueError("empty answer sequence")
-    feat, conv = slice_pack(pack, cfg)
+    feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
     m, n = len(q_tokens), len(a_tokens)
     run = _forward(params, conv, list(q_tokens) + list(a_tokens), cfg.mode,
                    feat=feat, keep_cache=grads is not None)
@@ -447,7 +479,7 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
     Cross-entropy over the softmax of the 4 candidate scores. With `grads`,
     adds the analytic gradient of every parameter to it.
     """
-    feat, conv = slice_pack(pack, cfg)
+    feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
     run = _forward(params, conv, q_tokens, cfg.mode, feat=feat,
                    keep_cache=grads is not None)
     h = run.H[-1]
@@ -475,7 +507,8 @@ def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
         return telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
                                       grads)
     cands, target = datamodel.mc_candidates(record)
-    feats = [region_feature(pack, c, cfg) for c in cands]
+    feats = [region_feature(pack, c, cfg, params["W_img"].dtype)
+             for c in cands]
     return pointing_loss_and_grads(params, cfg, pack, q_tokens, feats,
                                    target, grads)
 
@@ -519,15 +552,18 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     Mini-batch Adam training over telling/pointing records. Returns the
     trained params, views of one new flat parameter vector, and the
     per-epoch mean loss curve. The input params are copied into that vector
-    once and never modified.
+    once and never modified. The vector, its gradient and both Adam moments
+    take the input params' dtype; losses are summed as Python floats. Raises
+    NumericsError on a non-finite loss, or if a step left a non-finite
+    parameter.
     """
-    flat = np.empty(param_count(cfg))
+    flat = np.empty(param_count(cfg), _params_dtype(params))
     views = param_views(flat, cfg)
     for name, view in views.items():
         view[...] = params[name]
     params = views
     # np.zeros is calloc-backed: no page is touched before the first batch
-    grad = np.zeros(flat.shape)
+    grad = np.zeros(flat.shape, flat.dtype)
     grads = param_views(grad, cfg)
     state = AdamState.for_param(flat, train_cfg.learning_rate)
     rng = np.random.default_rng(train_cfg.seed)
@@ -548,13 +584,15 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
                     raise NumericsError(
                         f"non-finite loss on {rec.qa_id} "
                         f"(epoch {epoch}, batch at {start})")
-                batch_loss += loss
+                batch_loss += float(loss)
             grad *= 1.0 / len(batch)
             if train_cfg.clip_norm is not None:
                 clip_grads_by_norm(grad, train_cfg.clip_norm)
             adam_step(flat, grad, state)
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(order))
+    if not np.isfinite(flat).all():
+        raise NumericsError("training left non-finite parameters")
     return params, curve
 
 
@@ -572,28 +610,38 @@ def training_accuracy(records, packs, vocab, params, cfg):
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"V7WM"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 _CFG_FIELDS = ("hidden", "d_a", "vocab_size", "conv_cells", "conv_channels",
                "feat_dim")
+_CKPT_DTYPES = ("<f4", "<f8")
 
 
 def save_checkpoint(params, cfg: ModelConfig, vocab, path) -> None:
-    """Write the model and its vocabulary; load-then-save is bit-identical."""
+    """
+    Write the model and its vocabulary, with the tensors in the params'
+    dtype (float32 or float64); load-then-save is bit-identical.
+    """
+    dtype = _params_dtype(params).newbyteorder("<").str
+    if dtype not in _CKPT_DTYPES:
+        raise TypeError(f"a checkpoint holds float32 or float64 tensors, "
+                        f"not {dtype}")
     with binfmt.create(path, CKPT_MAGIC, CKPT_VERSION) as f:
         for name in _CFG_FIELDS:
             f.write(binfmt.i64(getattr(cfg, name)))
         f.write(binfmt.string(cfg.mode))
+        f.write(binfmt.string(dtype))
         for token in vocab.index_to_token:
             f.write(binfmt.string(token))
         binfmt.pad(f)
         for name in param_shapes(cfg):
-            f.write(binfmt.array(params[name], "<f8"))
+            f.write(binfmt.array(params[name], dtype))
 
 
 def load_checkpoint(path):
     """
     Return (params, cfg, vocab). The params are the `param_views` of one
-    read-only flat parameter vector that views the file's bytes.
+    read-only flat parameter vector, in the file's dtype, that views the
+    file's bytes.
     """
     r = binfmt.Reader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     sizes = {name: r.i64(name) for name in _CFG_FIELDS}
@@ -602,6 +650,9 @@ def load_checkpoint(path):
     mode = r.string("mode")
     if mode not in MODES:
         raise FormatError(f"unknown checkpoint attention mode {mode!r}")
+    dtype = r.string("dtype")
+    if dtype not in _CKPT_DTYPES:
+        raise FormatError(f"unknown checkpoint tensor dtype {dtype!r}")
     cfg = ModelConfig(**sizes, mode=mode)
     tokens = [r.string("token") for _ in range(cfg.vocab_size)]
     if (tokens[:2] != [datamodel.UNK, datamodel.END_ANSWER]
@@ -609,6 +660,6 @@ def load_checkpoint(path):
         raise FormatError("checkpoint vocabulary must start with <unk>, "
                           "<end> and hold each token once")
     r.pad()
-    vec = r.array("<f8", (param_count(cfg),), "parameter vector")
+    vec = r.array(dtype, (param_count(cfg),), "parameter vector")
     r.end()
     return param_views(vec, cfg), cfg, datamodel.Vocabulary.from_tokens(tokens)

@@ -4,9 +4,11 @@ import shutil
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from groundedqa import cli, datamodel, featurestore, qamodel
+from groundedqa.numkit import GradCheckResult
 
 
 def _run(*argv):
@@ -241,7 +243,7 @@ class TestPipeline:
         ckpt = world["root"] / "old" / "model.ckpt"
         ckpt.parent.mkdir()
         clean = untrained_ckpt.read_bytes()
-        for version in (1, 2, 3):  # the u16 version follows the magic
+        for version in (1, 2, 3, 4):  # the u16 version follows the magic
             ckpt.write_bytes(clean[:4] + version.to_bytes(2, "little")
                              + clean[6:])
             capsys.readouterr()
@@ -283,6 +285,13 @@ class TestPipeline:
         bad.write_text("{not json")
         assert _run("stats", "--corpus", str(bad),
                     "--out", str(tmp_path / "o")) == 2
+
+    def test_train_writes_a_float32_checkpoint(self, trained_run):
+        params, mc, _ = qamodel.load_checkpoint(trained_run / "model.ckpt")
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        tensors = 4 * qamodel.param_count(mc)
+        assert tensors < (trained_run / "model.ckpt").stat().st_size \
+            < tensors + 1024
 
     def test_config_echo_written(self, trained_run):
         echo = (trained_run / "config.echo.txt").read_text()
@@ -532,3 +541,43 @@ class TestGradcheck:
         assert "overall max relative error" in capsys.readouterr().out
         text = (tmp_path / "gc" / "gradcheck.txt").read_text()
         assert "max_rel_error" in text
+
+    def test_failed_check_is_numerics_error(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(cli, "finite_diff_grad_check",
+                            lambda *args: GradCheckResult(1e-3, "W_out"))
+        assert _run("gradcheck", "--out", str(tmp_path)) == 3
+        assert ("numerics error: gradient check failed: 1.000e-03"
+                in capsys.readouterr().err)
+        assert "max_rel_error\t1.000000e-03" in \
+            (tmp_path / "gradcheck.txt").read_text()
+
+
+class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_train_exits_3_without_checkpoint(self, world, tmp_path,
+                                                       capsys):
+        # the float32 Adam step overflows to inf at this learning rate
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--batch", "64",
+                    "--epochs", "1", "--lr", "1e300",
+                    "--out", str(tmp_path)) == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_eval_of_non_finite_scores_exits_2(self, world, untrained_ckpt,
+                                               tmp_path):
+        params, mc, vocab = qamodel.load_checkpoint(untrained_ckpt)
+        ckpt = tmp_path / "nan.ckpt"
+        qamodel.save_checkpoint({k: np.full_like(v, np.nan)
+                                 for k, v in params.items()}, mc, vocab, ckpt)
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "rep")) == 2
+        errors = [l for l in (tmp_path / "rep" / "report.txt").read_text()
+                  .splitlines() if l.startswith("# error\t")]
+        assert len(errors) == 4  # every test record
+        assert all("NumericsError: non-finite candidate scores" in l
+                   for l in errors)

@@ -117,6 +117,43 @@ class TestAdam:
             assert np.array_equal(st.first_moment, m)
             assert np.array_equal(st.second_moment, v)
 
+    def test_float32_matches_whole_array_float32_bitwise(self):
+        n = 2 * ADAM_CHUNK + 123
+        rng = np.random.default_rng(5)
+        p = rng.normal(size=n).astype(np.float32)
+        st = AdamState.for_param(p, learning_rate=1e-3)
+        assert st.first_moment.dtype == st.second_moment.dtype == np.float32
+        x, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        for t in (1, 2, 3):
+            g = rng.normal(size=n).astype(np.float32)
+            # Python-float scalars keep the whole-array formula in float32
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            x = x - 1e-3 * (m / (1 - ADAM_BETA1 ** t)) / (
+                np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPSILON)
+            assert x.dtype == np.float32
+            assert adam_step(p, g, st) is p
+            assert p.dtype == np.float32
+            assert np.array_equal(p, x)
+            assert np.array_equal(st.first_moment, m)
+            assert np.array_equal(st.second_moment, v)
+
+    @pytest.mark.parametrize("wrong", ["grad", "first", "second"])
+    def test_dtype_mismatch_is_never_cast(self, wrong):
+        p = np.zeros(3, np.float32)
+        g = np.ones(3, np.float64 if wrong == "grad" else np.float32)
+        st = AdamState.for_param(p)
+        if wrong != "grad":
+            setattr(st, f"{wrong}_moment", np.zeros(3))
+        with pytest.raises(TypeError, match="float64, param is float32"):
+            adam_step(p, g, st)
+        assert st.step_count == 0 and not p.any()
+
+    def test_rejects_other_float_dtypes(self):
+        p = np.zeros(3, np.float16)
+        with pytest.raises(TypeError, match="float32 or float64"):
+            adam_step(p, np.zeros(3, np.float16), AdamState.for_param(p))
+
 
 class TestClip:
     def test_below_the_bound_is_a_no_op(self):

@@ -1,11 +1,14 @@
 import math
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groundedqa import datamodel, qamodel
+from groundedqa import datamodel, featurestore, qamodel, synthdata
 from groundedqa.binfmt import FormatError
 from groundedqa.numkit import finite_diff_grad_check
 from groundedqa.qamodel import (LEARNED, UNIFORM, ModelConfig, attention_step,
@@ -69,6 +72,14 @@ class TestInit:
             assert set(params) == set(expected)
             for name in params:
                 assert np.array_equal(params[name], expected[name]), name
+
+    def test_float32_is_the_float64_draw_rounded(self):
+        cfg = ModelConfig.micro(20)
+        wide, narrow = init_params(cfg, 3), init_params(cfg, 3, np.float32)
+        for name in wide:
+            assert narrow[name].dtype == np.float32, name
+            assert np.array_equal(narrow[name],
+                                  wide[name].astype(np.float32)), name
 
     def test_weight_sd_matches_uniform_moments(self):
         cfg = ModelConfig(hidden=512, d_a=512, vocab_size=40)
@@ -586,7 +597,101 @@ class TestTrain:
         assert 0 < moved[1e-12] < 1e-3 * moved[None]
 
 
-def _assert_one_vector(params, cfg):
+class TestFloat32:
+    """A float32 model: its passes stay float32 and track float64's."""
+
+    @staticmethod
+    def _as_read(packs):
+        """The packs as read from files: every array float32."""
+        return {i: featurestore.FeaturePack(
+            image_id=p.image_id,
+            global_feature=p.global_feature.astype(np.float32),
+            conv_map=p.conv_map.astype(np.float32),
+            region_features={r: f.astype(np.float32)
+                             for r, f in p.region_features.items()})
+            for i, p in packs.items()}
+
+    @pytest.mark.parametrize("scale", ["micro", "paper"])
+    def test_loss_and_grads_track_float64(self, scale):
+        dims = MICRO_DIMS if scale == "micro" else {}
+        corpus, packs = synthdata.synth_corpus(1, 1, seed=3, **dims)
+        packs = self._as_read(packs)
+        vocab = datamodel.build_vocab(corpus.records)
+        cfg = (ModelConfig.micro(vocab.size) if scale == "micro"
+               else ModelConfig(vocab_size=vocab.size))
+        for rec in corpus.records:
+            out = {}
+            for dtype in (np.float64, np.float32):
+                flat = np.zeros(qamodel.param_count(cfg), dtype)
+                loss = qamodel.record_loss_and_grads(
+                    init_params(cfg, 2, dtype), cfg, rec,
+                    packs[rec.image_id], vocab, qamodel.param_views(flat, cfg))
+                assert loss.dtype == dtype
+                out[dtype] = float(loss), flat
+            (loss64, grad64), (loss32, grad32) = out[np.float64], out[np.float32]
+            assert abs(loss32 - loss64) < 1e-5, rec.kind
+            assert (np.linalg.norm(grad32 - grad64)
+                    < 1e-5 * np.linalg.norm(grad64)), rec.kind
+
+    def test_a_float64_pack_does_not_widen_the_pass(self, micro_world):
+        corpus, packs, vocab, cfg, _ = micro_world
+        params = init_params(cfg, 1, np.float32)
+        for kind in ("telling", "pointing"):
+            rec = next(r for r in corpus.records if r.kind == kind)
+            pack = packs[rec.image_id]
+            assert pack.conv_map.dtype == np.float64  # synthesized in memory
+            grads = qamodel.param_views(
+                np.zeros(qamodel.param_count(cfg), np.float32), cfg)
+            loss = qamodel.record_loss_and_grads(params, cfg, rec, pack,
+                                                 vocab, grads)
+            assert loss.dtype == np.float32, kind
+            q_tokens = vocab.encode(datamodel.tokenize(rec.question))
+            state = encode(pack, q_tokens, params, cfg)
+            assert state.h.dtype == state.conv.dtype == np.float32, kind
+            trace = qamodel.attention_trace(rec, pack, params, vocab, cfg)
+            assert {a.dtype for a in trace} == {np.dtype(np.float32)}, kind
+
+    def test_train_keeps_float32(self, micro_world):
+        corpus, packs, vocab, cfg, _ = micro_world
+        params = init_params(cfg, 1, np.float32)
+        tc = qamodel.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2)
+        trained, curve = qamodel.train(corpus.records, packs, vocab, params,
+                                       cfg, tc)
+        _assert_one_vector(trained, cfg, np.float32)
+        assert all(type(loss) is float for loss in curve)
+        assert curve[-1] < curve[0]
+
+    def test_mixed_dtypes_rejected(self, micro_world):
+        corpus, packs, vocab, cfg, params = micro_world
+        mixed = dict(params, W_out=params["W_out"].astype(np.float32))
+        with pytest.raises(TypeError, match="mix dtypes"):
+            qamodel.train(corpus.records, packs, vocab, mixed, cfg,
+                          qamodel.TrainConfig())
+        with pytest.raises(TypeError, match="mix dtypes"):
+            save_checkpoint(mixed, cfg, vocab, os.devnull)
+
+    @pytest.mark.parametrize("kind", ["telling", "pointing"])
+    def test_overfits_the_planted_corpora(self, kind):
+        # the corpora, init and schedule of acceptance tests 02 and 03
+        n_t, n_p = (64, 0) if kind == "telling" else (0, 64)
+        corpus, packs = synthdata.synth_corpus(n_t, n_p, seed=7, **MICRO_DIMS)
+        records, packs = corpus.records, self._as_read(packs)
+        vocab = datamodel.build_vocab(records)
+        cfg = ModelConfig.micro(vocab.size)
+        params = init_params(cfg, 0, np.float32)
+        epochs, acc = 0, 0.0
+        while epochs < 300 and acc < 0.95:
+            tc = qamodel.TrainConfig(epochs=25, batch_size=8,
+                                     learning_rate=1e-3, seed=1000 + epochs)
+            params, _ = qamodel.train(records, packs, vocab, params, cfg, tc)
+            epochs += 25
+            acc = qamodel.training_accuracy(records, packs, vocab, params,
+                                            cfg)
+        assert params["W_out"].dtype == np.float32
+        assert acc >= 0.95, (acc, epochs)
+
+
+def _assert_one_vector(params, cfg, dtype=np.float64):
     """The params tile one buffer back to back, in sorted name order."""
     names = sorted(param_shapes(cfg))
     assert list(param_shapes(cfg)) == names
@@ -595,7 +700,7 @@ def _assert_one_vector(params, cfg):
     for name in names:
         view = params[name]
         assert view.shape == param_shapes(cfg)[name], name
-        assert view.dtype == np.float64 and view.flags.c_contiguous, name
+        assert view.dtype == dtype and view.flags.c_contiguous, name
         assert view.ctypes.data == at, name
         at += view.nbytes
     assert len({id(view.base) for view in params.values()}) == 1
@@ -662,6 +767,65 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="mode 'Learned'"):
             load_checkpoint(path)
 
+    def test_unknown_dtype_rejected(self, tmp_path, micro_world):
+        _, _, vocab, cfg, params = micro_world
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, vocab, path)
+        # the u32-prefixed dtype follows the u32-prefixed mode
+        at = 6 + 6 * 8 + 4 + len(cfg.mode) + 4
+        clean = path.read_bytes()
+        assert clean[at:at + 3] == b"<f8"
+        path.write_bytes(clean[:at] + b"<f2" + clean[at + 3:])
+        with pytest.raises(FormatError, match="tensor dtype '<f2'"):
+            load_checkpoint(path)
+
+    def test_only_float32_and_float64_are_saved(self, micro_world):
+        _, _, vocab, cfg, params = micro_world
+        wide = {k: v.astype(np.longdouble) for k, v in params.items()}
+        with pytest.raises(TypeError, match="float32 or float64"):
+            save_checkpoint(wide, cfg, vocab, os.devnull)
+
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.tuples(*[st.integers(1, 6)] * 5),
+           mode=st.sampled_from(qamodel.MODES),
+           dtype=st.sampled_from(["<f4", "<f8"]),
+           extra=st.lists(st.text(st.characters(blacklist_categories=["Cs"]),
+                                  max_size=5), unique=True, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_round_trip_property(self, widths, mode, dtype, extra, seed,
+                                 data):
+        reserved = [datamodel.UNK, datamodel.END_ANSWER]
+        vocab = datamodel.Vocabulary.from_tokens(
+            reserved + [t for t in extra if t not in reserved])
+        hidden, d_a, cells, channels, feat = widths
+        cfg = ModelConfig(hidden=hidden, d_a=d_a, vocab_size=vocab.size,
+                          conv_cells=cells, conv_channels=channels,
+                          feat_dim=feat, mode=mode)
+        rng = np.random.default_rng(seed)
+        params = qamodel.param_views(
+            rng.normal(size=qamodel.param_count(cfg)).astype(dtype), cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            first = os.path.join(tmp, "first.ckpt")
+            again = os.path.join(tmp, "again.ckpt")
+            save_checkpoint(params, cfg, vocab, first)
+            loaded, cfg2, vocab2 = load_checkpoint(first)
+            assert cfg2 == cfg and vocab2 == vocab
+            for name, arr in params.items():
+                assert loaded[name].dtype == np.dtype(dtype), name
+                assert np.array_equal(loaded[name], arr), name
+            save_checkpoint(loaded, cfg2, vocab2, again)
+            with open(first, "rb") as f:
+                clean = f.read()
+            with open(again, "rb") as f:
+                assert f.read() == clean
+            cuts = data.draw(st.lists(st.integers(0, len(clean) - 1),
+                                      min_size=1, max_size=4))
+            for cut in cuts:
+                with open(again, "wb") as f:
+                    f.write(clean[:cut])
+                with pytest.raises(FormatError, match="truncated"):
+                    load_checkpoint(again)
+
     def test_config_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="'Learned'.*'uniform'"):
             ModelConfig(mode="Learned")
@@ -672,9 +836,11 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(init_params(cfg, seed=0), cfg, vocab, path)
         clean = path.read_bytes()
-        # magic, version, six i64 sizes, then the mode and the tokens
+        # magic, version, six i64 sizes, then the mode, the tensor dtype
+        # and the tokens
         fields_end = 6 + 6 * 8 + sum(
-            4 + len(s.encode()) for s in [cfg.mode, *vocab.index_to_token])
+            4 + len(s.encode())
+            for s in [cfg.mode, "<f8", *vocab.index_to_token])
         first_tensor = len(clean) - 8 * sum(
             math.prod(shape) for shape in param_shapes(cfg).values())
         assert first_tensor % 8 == 0
