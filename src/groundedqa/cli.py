@@ -343,7 +343,7 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
-    _require(cfg, "checkpoint")
+    _require(cfg, "checkpoint", "splits")  # maps the test split only
     _, corpus, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
     dims = {image_id: (w, h) for image_id, w, h in corpus.images}

@@ -1,9 +1,10 @@
 """
-Dense math kernels: stable softmax, Adam, gradient clipping and a
-central-difference gradient checker. Each computes in the dtype of the
-arrays it is given: float32 for training, float64 (or wider) for the
-checks. Everything here is a pure function of its inputs except `adam_step`
-and `clip_grads_by_norm`, which update the arrays they are given in place.
+Dense math kernels: stable softmax (of a vector, or row-wise), Adam,
+gradient clipping and a central-difference gradient checker. Each computes
+in the dtype of the arrays it is given: float32 for training, float64 (or
+wider) for the checks. Everything here is a pure function of its inputs
+except `adam_step` and `clip_grads_by_norm`, which update the arrays they
+are given in place.
 """
 
 from dataclasses import dataclass
@@ -39,9 +40,16 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     logits = logits.ravel()
     if logits.size == 0:
         raise ValueError("softmax of an empty vector")
-    shifted = logits - logits.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    return softmax_rows(logits)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a float array; each row is shifted
+    by its own max."""
+    ex = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 ADAM_BETA1 = 0.9

@@ -8,11 +8,22 @@ uniform attention, which pins every attention weight to 1/cells and so
 recovers the plain LSTM baseline.
 
 The four gates share stacked weights: rows [k*h, (k+1)*h) of `Wv`, `Wh`,
-`Wr` and `b_gates` belong to gate GATES[k]. One forward pass serves
-training, prediction and heat maps. It computes the attention projection
-of the conv map and the input projection of every step once per sequence,
-outside the time loop, and backward turns the per-step gate gradients into
-one GEMM per weight.
+`Wr` and `b_gates` belong to gate GATES[k]. One forward/backward pass
+serves training, prediction and heat maps. It runs time-major over B
+records: their token ids come right-padded, with per-record lengths, and
+their conv maps stacked as one (B, cells, channels) array; row [t, b] of
+each buffer is step t of record b. The attention projection of the conv
+maps and the input projection of every step are computed once per pass,
+outside the time loop, and each step's `Wh`, `Wr` and `W_he` products,
+forward and backward, are (B, .) GEMMs. A record's padded steps get no
+head gradient, so their gate-gradient rows are exactly zero. Backward
+takes each weight gradient once per pass: `Wv`, `Wh`, `Wr` and `b_gates`
+from the stacked (T*B, 4h) gate gradients, `W_img` and `W_ptr` from one
+GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
+It keeps no (T, B, cells, d_a) attention cache: each step's attention tanh
+is recomputed from the projection and that step's hidden state. `train`
+runs one pass per PASS_RECORDS records of a batch, so memory does not grow
+with the batch; every other caller runs the pass at B = 1.
 
 Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
 run float32; gradient checks and the reference comparisons run float64 or
@@ -45,7 +56,7 @@ import numpy as np
 from . import binfmt, datamodel, featurestore
 from .binfmt import FormatError
 from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
-                     clip_grads_by_norm, sigmoid, softmax_stable)
+                     clip_grads_by_norm, sigmoid, softmax_rows)
 
 LEARNED = "learned"
 UNIFORM = "uniform"
@@ -54,7 +65,6 @@ MODES = (LEARNED, UNIFORM)
 GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
 _STACKED = ("Wv", "Wh", "Wr")
 END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
-_OUTER_BLOCK = 1 << 16  # elements of `_add_outer`'s scratch, 512 KB
 
 
 @dataclass
@@ -144,14 +154,27 @@ def param_views(vec: np.ndarray, cfg: ModelConfig) -> dict:
     return views
 
 
-def _add_outer(out, a, b):
-    """out += np.outer(a, b), bitwise, without the full-size temporary."""
-    rows = max(1, _OUTER_BLOCK // b.shape[0])
-    buf = np.empty((min(rows, a.shape[0]), b.shape[0]), out.dtype)
-    for lo in range(0, a.shape[0], rows):
-        block = out[lo:lo + rows]
-        part = buf[:block.shape[0]]
-        block += np.multiply(a[lo:lo + rows, None], b, out=part)
+def _by_t(x, W):
+    """x @ W.T for the few rows of x, computed as (W @ x.T).T: with OpenBLAS
+    this form ran about twice as fast (8 float32 rows against a 2048x512
+    W, one thread)."""
+    return (W @ x.T).T
+
+
+def _gemm(out, a, b, add):
+    """out = a @ b, written in place; out += a @ b when `add`."""
+    if add:
+        out += a @ b
+    else:
+        np.matmul(a, b, out=out)
+
+
+def _store(out, value, add):
+    """out[...] = value; out += value when `add`."""
+    if add:
+        out += value
+    else:
+        out[...] = value
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +189,41 @@ def attention_step(h_prev, conv_map, params, mode=LEARNED):
     if params["W_he"].shape[1] != h_prev.shape[0]:
         raise DimensionError(
             f"W_he {params['W_he'].shape} vs h {h_prev.shape}")
-    a, r, _ = _attend(h_prev, conv_map, _project(conv_map, params), params)
-    return a, r
+    conv = conv_map[None]
+    proj = _project(conv, params)
+    a, r = _attend(h_prev[None], conv, proj, params, np.empty_like(proj))
+    return a[0], r[0]
 
 
 def _uniform_attention(conv):
-    cells = conv.shape[0]
-    return np.full(cells, 1.0 / cells), conv.mean(axis=0)
+    """Weights 1/cells and the mean cell of each map of `conv` (..., cells,
+    channels)."""
+    cells = conv.shape[-2]
+    return np.full(cells, 1.0 / cells), conv.mean(axis=-2)
 
 
 def _project(conv, params):
-    """The image side of the attention score, conv @ W_ce.T: (cells, d_a)."""
-    if params["W_ce"].shape[1] != conv.shape[1]:
+    """The image side of the attention score, conv @ W_ce.T: (B, cells,
+    d_a)."""
+    if params["W_ce"].shape[1] != conv.shape[-1]:
         raise DimensionError(
-            f"W_ce {params['W_ce'].shape} vs conv map {conv.shape}")
+            f"W_ce {params['W_ce'].shape} vs conv map {conv.shape[-2:]}")
     return conv @ params["W_ce"].T
 
 
-def _attend(h_prev, conv, proj, params):
-    u = np.tanh(proj + params["W_he"] @ h_prev)  # (cells, d_a)
-    a = softmax_stable(u @ params["w_a"] + params["b_a"][0])
-    return a, a @ conv, u
+def _attention_tanh(h, proj, params, out):
+    """tanh(proj + h @ W_he.T), record b's row added to each of its cells:
+    (B, cells, d_a), written to `out`."""
+    np.add(proj, _by_t(h, params["W_he"])[:, None], out=out)
+    return np.tanh(out, out=out)
+
+
+def _attend(h, conv, proj, params, buf):
+    """(B, cells) attention weights and (B, channels) contexts at the
+    hidden states h (B, hidden); `buf` holds the attention tanh."""
+    u = _attention_tanh(h, proj, params, buf)
+    a = softmax_rows(u @ params["w_a"] + params["b_a"][0])
+    return a, (a[:, None] @ conv)[:, 0]
 
 
 def lstm_step(v, h_prev, c_prev, r, params):
@@ -200,78 +237,88 @@ def lstm_step(v, h_prev, c_prev, r, params):
 
 
 def _cell(pre, c_prev):
-    """Stacked gate pre-activations -> (h, c, activated gates)."""
-    n = c_prev.shape[0]
+    """Stacked gate pre-activations (..., 4h) -> (h, c, activated gates)."""
+    n = c_prev.shape[-1]
     gates = np.empty_like(pre)
-    gates[:3 * n] = sigmoid(pre[:3 * n])
-    gates[3 * n:] = np.tanh(pre[3 * n:])
-    gi, gf, go, gg = gates.reshape(4, n)
+    gates[..., :3 * n] = sigmoid(pre[..., :3 * n])
+    gates[..., 3 * n:] = np.tanh(pre[..., 3 * n:])
+    gi, gf, go, gg = np.split(gates, 4, axis=-1)
     c = gf * c_prev + gi * gg
     return go * np.tanh(c), c, gates
 
 
 @dataclass
 class _Pass:
-    """One run of the cell over a sequence; row t of each array is step t."""
-    feat: np.ndarray  # image feature read at step 0, or None
-    tokens: np.ndarray  # token ids read after it
-    proj: np.ndarray  # conv @ W_ce.T, or None in uniform mode
-    V: np.ndarray  # (T, h) cell inputs
-    H: np.ndarray  # (T + 1, h) hidden states; H[0] is the initial one
-    C: np.ndarray  # (T + 1, h) cell states
-    G: np.ndarray  # (T, 4h) activated gates
-    A: np.ndarray  # (T, cells) attention weights
-    R: np.ndarray  # (T, channels) attended contexts
-    U: np.ndarray  # (T, cells, d_a) attention tanh, kept only for backward
+    """One time-major run of the cell over B records; [t, b] is step t of
+    record b. A record's steps past its own length are padding."""
+    feat: np.ndarray  # (B, feat_dim) image features read at step 0, or None
+    ids: np.ndarray  # (B, L) token ids read after them, right-padded
+    lengths: np.ndarray  # (B,) token count of each record
+    conv: np.ndarray  # (B, cells, channels)
+    proj: np.ndarray  # (B, cells, d_a) conv @ W_ce.T, or None in uniform mode
+    V: np.ndarray  # (T, B, h) cell inputs
+    H: np.ndarray  # (T + 1, B, h) hidden states; H[0] is the initial one
+    C: np.ndarray  # (T + 1, B, h) cell states
+    G: np.ndarray  # (T, B, 4h) activated gates
+    A: np.ndarray  # (T, B, cells) attention weights
+    R: np.ndarray  # (T, B, channels) attended contexts
 
 
-def _forward(params, conv, tokens, mode, feat=None, h0=None, c0=None,
-             proj=None, keep_cache=False):
+def _pad(sequences):
+    """Token id lists -> ((B, L) ids right-padded with 0, (B,) lengths)."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+    ids = np.zeros((len(sequences), lengths.max(initial=0)), np.intp)
+    for row, seq in zip(ids, sequences):
+        row[:len(seq)] = seq
+    return ids, lengths
+
+
+def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
+             proj=None):
     """
-    Run the cell over the image feature `feat` (when given), then `tokens`,
-    from the state (h0, c0) or zeros. `proj` is the attention projection of
-    `conv` if the caller already has it. Buffers take the params' dtype, so
-    the pass can run in extended precision.
+    Run the cell over B records: each reads its image feature `feat[b]`
+    (when given), then its `lengths[b]` tokens of `ids[b]`, from the state
+    (h0[b], c0[b]) or zeros. `proj` is the attention projection of `conv`
+    if the caller already has it. Buffers take the params' dtype, so the
+    pass can run in extended precision.
     """
     W_word = params["W_word"]
-    toks = np.asarray(tokens, dtype=np.intp)
-    bad = toks[(toks < 0) | (toks >= W_word.shape[1])]
+    bad = ids[(ids < 0) | (ids >= W_word.shape[1])]
     if bad.size:
         raise IndexError(f"token index {bad[0]} out of vocabulary "
                          f"range {W_word.shape[1]}")
-    V = W_word[:, toks].T
+    V = W_word.T[ids.T]  # (L, B, h)
     if feat is not None:
-        V = np.vstack([params["W_img"] @ feat + params["b_img"], V])
-    T, n = V.shape
+        V = np.concatenate(
+            [(_by_t(feat, params["W_img"]) + params["b_img"])[None], V])
+    T, B, n = V.shape
     dtype = V.dtype
     Wh, Wr = params["Wh"], params["Wr"]
-    X = V @ params["Wv"].T + params["b_gates"]  # input side of every step
-    H = np.zeros((T + 1, n), dtype)
-    C = np.zeros((T + 1, n), dtype)
+    # the input side of every step, in one GEMM
+    X = (_by_t(V.reshape(T * B, n), params["Wv"])
+         + params["b_gates"]).reshape(T, B, 4 * n)
+    H = np.zeros((T + 1, B, n), dtype)
+    C = np.zeros((T + 1, B, n), dtype)
     if h0 is not None:
         H[0], C[0] = h0, c0
-    G = np.empty((T, 4 * n), dtype)
-    A = np.empty((T, conv.shape[0]), dtype)
-    R = np.empty((T, conv.shape[1]), dtype)
-    U = None
+    G = np.empty((T, B, 4 * n), dtype)
+    A = np.empty((T, B, conv.shape[1]), dtype)
+    R = np.empty((T, B, conv.shape[2]), dtype)
     if mode == UNIFORM:
         A[:], R[:] = _uniform_attention(conv)
-        X += Wr @ R[0]  # the context never changes
+        X += _by_t(R[0], Wr)  # the context never changes
     else:
         if proj is None:
             proj = _project(conv, params)
-        if keep_cache:
-            U = np.empty((T,) + proj.shape, dtype)
+        buf = np.empty_like(proj)
     for t in range(T):
-        pre = X[t] + Wh @ H[t]
+        pre = X[t] + _by_t(H[t], Wh)
         if mode == LEARNED:
-            A[t], R[t], u = _attend(H[t], conv, proj, params)
-            if U is not None:
-                U[t] = u
-            pre += Wr @ R[t]
+            A[t], R[t] = _attend(H[t], conv, proj, params, buf)
+            pre += _by_t(R[t], Wr)
         H[t + 1], C[t + 1], G[t] = _cell(pre, C[t])
-    return _Pass(feat=feat, tokens=toks, proj=proj, V=V, H=H, C=C, G=G,
-                 A=A, R=R, U=U)
+    return _Pass(feat=feat, ids=ids, lengths=lengths, conv=conv, proj=proj,
+                 V=V, H=H, C=C, G=G, A=A, R=R)
 
 
 @dataclass
@@ -281,7 +328,7 @@ class EncoderState:
     trace: list  # one attention vector per consumed input
     conv: np.ndarray = None
     mode: str = LEARNED
-    proj: np.ndarray = None  # conv @ W_ce.T, shared by every decoded answer
+    proj: np.ndarray = None  # (1, cells, d_a), shared by every decoded answer
 
 
 def _features(arr, dtype):
@@ -309,16 +356,16 @@ def region_feature(pack, grounding_id, cfg: ModelConfig, dtype):
 def encode(pack, question_tokens, params, cfg) -> EncoderState:
     """Read the image then the question tokens; record the attention trace."""
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    run = _forward(params, conv, question_tokens, cfg.mode, feat=feat)
-    return EncoderState(h=run.H[-1], c=run.C[-1], trace=list(run.A),
-                        conv=conv, mode=cfg.mode, proj=run.proj)
+    run = _forward(params, conv[None], *_pad([question_tokens]), cfg.mode,
+                   feat=feat[None])
+    return EncoderState(h=run.H[-1, 0], c=run.C[-1, 0],
+                        trace=list(run.A[:, 0]), conv=conv, mode=cfg.mode,
+                        proj=run.proj)
 
 
 def _answer_head(params, hs, targets):
     """Vocabulary softmax at each row of hs -> (probs, log p(target))."""
-    logits = hs @ params["W_out"].T + params["b_out"]
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax_rows(hs @ params["W_out"].T + params["b_out"])
     picked = probs[np.arange(len(targets)), targets]
     return probs, np.log(np.maximum(picked, 1e-12))
 
@@ -330,9 +377,11 @@ def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
     """
     if not answer_tokens:
         raise ValueError("empty answer sequence")
-    run = _forward(params, state.conv, answer_tokens, state.mode, h0=state.h,
-                   c0=state.c, proj=state.proj)
-    _, logp = _answer_head(params, run.H, list(answer_tokens) + [END_INDEX])
+    run = _forward(params, state.conv[None], *_pad([answer_tokens]),
+                   state.mode, h0=state.h[None], c0=state.c[None],
+                   proj=state.proj)
+    _, logp = _answer_head(params, run.H[:, 0],
+                           list(answer_tokens) + [END_INDEX])
     return float(logp.sum())
 
 
@@ -370,13 +419,18 @@ def predict_mc(record, pack, params, vocab, cfg):
 def attention_trace(record, pack, params, vocab, cfg) -> list:
     """
     One attention vector per step while the model reads the image, the
-    question and, for a telling record, its correct answer.
+    question and, for a telling record, its correct answer. A non-finite
+    weight raises NumericsError.
     """
     tokens = vocab.encode(datamodel.tokenize(record.question))
     if record.kind == "telling":
         tokens += vocab.encode(datamodel.tokenize(record.answer))
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    return list(_forward(params, conv, tokens, cfg.mode, feat=feat).A)
+    trace = _forward(params, conv[None], *_pad([tokens]), cfg.mode,
+                     feat=feat[None]).A[:, 0]
+    if not np.isfinite(trace).all():
+        raise NumericsError(f"non-finite attention on record {record.qa_id}")
+    return list(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -384,64 +438,160 @@ def attention_trace(record, pack, params, vocab, cfg) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _backward(params, conv, run, dH, mode, grads):
+def _backward(params, run, dH, mode, grads, add):
     """
-    Backpropagate through a `_forward` pass made with keep_cache, adding
-    into `grads`. dH[t] is the gradient the output heads inject at step t's
-    hidden state. Only the recurrence runs step by step: each weight
-    gradient is one GEMM over the (T, 4h) stack of gate gradients, and the
-    attention terms are summed over the steps before their GEMMs.
+    Backpropagate through a `_forward` pass into `grads`, overwriting each
+    gradient, or adding to it when `add`. dH[t, b] is the gradient the
+    heads inject at the state after step t of record b; it is zero on
+    padded steps, so their gate-gradient rows are exactly zero. Only the
+    recurrence runs step by step, each step's products being (B, .) GEMMs.
+    Each weight gradient is taken once: `Wv`, `Wh`, `Wr` from the (T*B, 4h)
+    stack of gate gradients, `W_img` from the batch's rows, `W_ce` from the
+    pass's stacked cells. Each step's attention tanh is recomputed from the
+    projection and that step's hidden state instead of being cached.
     """
-    G, n = run.G, run.H.shape[1]
-    T = G.shape[0]
-    gi, gf, go, gg = np.split(G, 4, axis=1)
+    G = run.G
+    T, B, n = run.V.shape
+    gi, gf, go, gg = np.split(G, 4, axis=-1)
     tc = np.tanh(run.C[1:])
     dc_dh = go * (1 - tc * tc)
     # gate pre-activation gradient = (dc, dc, dh, dc) blocks * dz_scale
-    dz_scale = np.hstack([gg * gi * (1 - gi), run.C[:-1] * gf * (1 - gf),
-                          tc * go * (1 - go), gi * (1 - gg * gg)])
+    dz_scale = np.concatenate(
+        [gg * gi * (1 - gi), run.C[:-1] * gf * (1 - gf), tc * go * (1 - go),
+         gi * (1 - gg * gg)], axis=-1)
     DZ = np.empty_like(G)
     learned = mode == LEARNED
     if learned:
         w_a, W_he, Wr = params["w_a"], params["W_he"], params["Wr"]
-        Q = 1 - run.U * run.U  # tanh derivative at every attention step
+        P = np.empty_like(run.proj)  # a step's tanh, then its score gradient
+        M = np.zeros_like(run.proj)  # score gradients summed over the steps
         DE = np.empty_like(run.A)
-        S = np.empty((T, w_a.shape[0]), G.dtype)
-    dh_next = np.zeros(n, G.dtype)
-    dc = np.zeros(n, G.dtype)
+        S = np.empty((T, B, w_a.shape[0]), G.dtype)
+        dw_a = np.zeros(w_a.shape, G.dtype)
+    dh_next = np.zeros((B, n), G.dtype)
+    dc = np.zeros((B, n), G.dtype)
     for t in range(T - 1, -1, -1):
         dh = dh_next + dH[t]
         dc = dc + dh * dc_dh[t]
         dz = DZ[t]
-        dz.reshape(4, n)[:] = dc
-        dz[2 * n:3 * n] = dh
+        dz.reshape(B, 4, n)[:] = dc[:, None]
+        dz[:, 2 * n:3 * n] = dh
         dz *= dz_scale[t]
         dc = dc * gf[t]
         dh_next = dz @ params["Wh"]
         if learned:
             a = run.A[t]
-            da = conv @ (dz @ Wr)
-            DE[t] = de = a * (da - a @ da)
-            S[t] = w_a * (de @ Q[t])
+            da = (run.conv @ (dz @ Wr)[:, :, None])[:, :, 0]
+            DE[t] = de = a * (da - (a * da).sum(axis=1, keepdims=True))
+            u = _attention_tanh(run.H[t], run.proj, params, P)
+            dw_a += de.reshape(-1) @ u.reshape(-1, u.shape[2])
+            np.multiply(u, u, out=P)
+            np.subtract(1, P, out=P)  # the tanh derivative
+            P *= de[:, :, None]
+            M += P
+            S[t] = P.sum(axis=1) * w_a
             dh_next += S[t] @ W_he
-    H_prev = run.H[:-1]
-    grads["Wv"] += DZ.T @ run.V
-    grads["Wh"] += DZ.T @ H_prev
-    grads["Wr"] += DZ.T @ run.R
-    grads["b_gates"] += DZ.sum(axis=0)
-    DV = DZ @ params["Wv"]
+    H_prev = run.H[:-1].reshape(T * B, n)
+    DZ = DZ.reshape(T * B, 4 * n)
+    _gemm(grads["Wv"], DZ.T, run.V.reshape(T * B, n), add)
+    _gemm(grads["Wh"], DZ.T, H_prev, add)
+    _gemm(grads["Wr"], DZ.T, run.R.reshape(T * B, -1), add)
+    _store(grads["b_gates"], DZ.sum(axis=0), add)
+    DV = (DZ @ params["Wv"]).reshape(T, B, n)
     if run.feat is not None:
-        _add_outer(grads["W_img"], DV[0], run.feat)
-        grads["b_img"] += DV[0]
+        _gemm(grads["W_img"], DV[0].T, run.feat, add)
+        _store(grads["b_img"], DV[0].sum(axis=0), add)
         DV = DV[1:]
-    # add.at, not +=, so a repeated token gets every one of its steps
-    np.add.at(grads["W_word"].T, run.tokens, DV)
+    if not add:
+        grads["W_word"].fill(0)
+    # add.at, not +=, so a repeated token gets every one of its steps;
+    # padded steps are left out
+    real = np.arange(DV.shape[0])[:, None] < run.lengths
+    np.add.at(grads["W_word"].T, run.ids.T[real], DV[real])
     if learned:
-        grads["b_a"] += DE.sum()
-        grads["w_a"] += run.U.reshape(-1, w_a.shape[0]).T @ DE.ravel()
-        dz_att = np.einsum("tc,tcd->cd", DE, Q) * w_a
-        grads["W_ce"] += dz_att.T @ conv
-        grads["W_he"] += S.T @ H_prev
+        _store(grads["b_a"], DE.sum(), add)
+        _store(grads["w_a"], dw_a, add)
+        M *= w_a
+        cells = M.shape[0] * M.shape[1]
+        _gemm(grads["W_ce"], M.reshape(cells, -1).T,
+              run.conv.reshape(cells, -1), add)
+        _gemm(grads["W_he"], S.reshape(T * B, -1).T, H_prev, add)
+    elif not add:
+        for name in ("W_he", "W_ce", "w_a", "b_a"):
+            grads[name].fill(0)
+
+
+@dataclass
+class _Item:
+    """One record's inputs to a pass, its features in the pass's dtype."""
+    feat: np.ndarray
+    conv: np.ndarray
+    q: list  # question token ids
+    a: list = None  # answer token ids of a telling record
+    cands: np.ndarray = None  # (4, feat_dim) candidates of a pointing record
+    target: int = 0  # index of the correct candidate
+
+
+def _loss_and_grads(params, cfg, items, grads=None, add=True):
+    """
+    One pass over `items` (telling and pointing records may mix). Returns
+    their losses in the params' dtype. With `grads`, writes the sum of
+    their gradients into it, or adds it when `add`.
+    """
+    ids, lengths = _pad([it.q + (it.a or []) for it in items])
+    run = _forward(params, np.stack([it.conv for it in items]), ids, lengths,
+                   cfg.mode, feat=np.stack([it.feat for it in items]))
+    Hs = run.H[1:]  # Hs[t, b] is the state after step t of record b
+    losses = np.empty(len(items), Hs.dtype)
+    dH = None if grads is None else np.zeros_like(Hs)
+    tell = [b for b, it in enumerate(items) if it.a is not None]
+    point = [b for b, it in enumerate(items) if it.a is None]
+    if tell:
+        # the states after the question and after each answer token predict
+        # the answer tokens, then END; each record's loss is their mean
+        counts = [len(items[b].a) + 1 for b in tell]
+        steps = np.concatenate([np.arange(len(items[b].q), len(items[b].q) + k)
+                                for b, k in zip(tell, counts)])
+        rows = np.repeat(tell, counts)
+        targets = np.concatenate([items[b].a + [END_INDEX] for b in tell])
+        hs = Hs[steps, rows]
+        probs, logp = _answer_head(params, hs, targets)
+        for b, k, lo in zip(tell, counts, np.cumsum([0] + counts)):
+            losses[b] = -(1.0 / k) * logp[lo:lo + k].sum()
+        if grads is not None:
+            scale = np.repeat(np.array([1.0 / k for k in counts],
+                                       probs.dtype), counts)
+            dlogits = probs * scale[:, None]
+            dlogits[np.arange(len(targets)), targets] -= scale
+            _gemm(grads["W_out"], dlogits.T, hs, add)
+            _store(grads["b_out"], dlogits.sum(axis=0), add)
+            dH[steps, rows] = dlogits @ params["W_out"]
+    elif grads is not None and not add:
+        grads["W_out"].fill(0)
+        grads["b_out"].fill(0)
+    if point:
+        # each record's state after its own last step scores its candidates
+        last = lengths[point]
+        h = Hs[last, point]
+        F = np.stack([items[b].cands for b in point])  # (P, 4, feat_dim)
+        transformed = (_by_t(F.reshape(-1, F.shape[2]), params["W_ptr"])
+                       + params["b_ptr"]).reshape(len(point), 4, -1)
+        probs = softmax_rows((transformed @ h[:, :, None])[:, :, 0])
+        targets = [items[b].target for b in point]
+        picked = probs[np.arange(len(point)), targets]
+        losses[point] = -np.log(np.maximum(picked, 1e-12))
+        if grads is not None:
+            ds = probs
+            ds[np.arange(len(point)), targets] -= 1.0
+            _gemm(grads["W_ptr"], h.T, (ds[:, None] @ F)[:, 0], add)
+            _store(grads["b_ptr"], h.T @ ds.sum(axis=1), add)
+            dH[last, point] = (ds[:, None] @ transformed)[:, 0]
+    elif grads is not None and not add:
+        grads["W_ptr"].fill(0)
+        grads["b_ptr"].fill(0)
+    if grads is not None:
+        _backward(params, run, dH, cfg.mode, grads, add)
+    return losses
 
 
 def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
@@ -453,24 +603,8 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
     if not a_tokens:
         raise ValueError("empty answer sequence")
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    m, n = len(q_tokens), len(a_tokens)
-    run = _forward(params, conv, list(q_tokens) + list(a_tokens), cfg.mode,
-                   feat=feat, keep_cache=grads is not None)
-    hs = run.H[m + 1:]  # the states after the question and each answer token
-    targets = list(a_tokens) + [END_INDEX]
-    probs, logp = _answer_head(params, hs, targets)
-    scale = 1.0 / (n + 1)
-    loss = -scale * logp.sum()
-    if grads is None:
-        return loss
-    dlogits = probs * scale
-    dlogits[np.arange(n + 1), targets] -= scale
-    grads["W_out"] += dlogits.T @ hs
-    grads["b_out"] += dlogits.sum(axis=0)
-    dH = np.zeros_like(run.H[1:])
-    dH[m:] = dlogits @ params["W_out"]
-    _backward(params, conv, run, dH, cfg.mode, grads)
-    return loss
+    item = _Item(feat, conv, list(q_tokens), a=list(a_tokens))
+    return _loss_and_grads(params, cfg, [item], grads)[0]
 
 
 def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
@@ -480,37 +614,69 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
     adds the analytic gradient of every parameter to it.
     """
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    run = _forward(params, conv, q_tokens, cfg.mode, feat=feat,
-                   keep_cache=grads is not None)
-    h = run.H[-1]
-    F = np.stack(cand_features)
-    transformed = F @ params["W_ptr"].T + params["b_ptr"]
-    probs = softmax_stable(transformed @ h)
-    loss = -np.log(np.maximum(probs[target], 1e-12))
-    if grads is None:
-        return loss
-    ds = probs.copy()
-    ds[target] -= 1.0
-    _add_outer(grads["W_ptr"], h, ds @ F)
-    grads["b_ptr"] += ds.sum() * h
-    dH = np.zeros_like(run.H[1:])
-    dH[-1] = ds @ transformed
-    _backward(params, conv, run, dH, cfg.mode, grads)
-    return loss
+    item = _Item(feat, conv, list(q_tokens), cands=np.stack(cand_features),
+                 target=target)
+    return _loss_and_grads(params, cfg, [item], grads)[0]
+
+
+@dataclass
+class _Example:
+    """A record with its token ids and candidates, encoded once."""
+    record: datamodel.QARecord
+    q: list  # question token ids
+    a: list = None  # answer token ids of a telling record
+    cands: list = None  # candidate region ids of a pointing record
+    target: int = 0
+
+    @classmethod
+    def of(cls, record, vocab) -> "_Example":
+        q = vocab.encode(datamodel.tokenize(record.question))
+        if record.kind == "telling":
+            a = vocab.encode(datamodel.tokenize(record.answer))
+            if not a:
+                raise ValueError(f"empty answer sequence in {record.qa_id}")
+            return cls(record, q, a=a)
+        cands, target = datamodel.mc_candidates(record)
+        return cls(record, q, cands=cands, target=target)
+
+    def item(self, pack, cfg, dtype) -> _Item:
+        feat, conv = slice_pack(pack, cfg, dtype)
+        if self.a is not None:
+            return _Item(feat, conv, self.q, a=self.a)
+        cands = np.stack([region_feature(pack, c, cfg, dtype)
+                          for c in self.cands])
+        return _Item(feat, conv, self.q, cands=cands, target=self.target)
 
 
 def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
     """The record's loss; with `grads`, its gradients are added to it."""
-    q_tokens = vocab.encode(datamodel.tokenize(record.question))
-    if record.kind == "telling":
-        a_tokens = vocab.encode(datamodel.tokenize(record.answer))
-        return telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
-                                      grads)
-    cands, target = datamodel.mc_candidates(record)
-    feats = [region_feature(pack, c, cfg, params["W_img"].dtype)
-             for c in cands]
-    return pointing_loss_and_grads(params, cfg, pack, q_tokens, feats,
-                                   target, grads)
+    ex = _Example.of(record, vocab)
+    if ex.a is not None:
+        return telling_loss_and_grads(params, cfg, pack, ex.q, ex.a, grads)
+    dtype = params["W_img"].dtype
+    feats = [region_feature(pack, c, cfg, dtype) for c in ex.cands]
+    return pointing_loss_and_grads(params, cfg, pack, ex.q, feats, ex.target,
+                                   grads)
+
+
+PASS_RECORDS = 8  # records per pass: memory does not grow with the batch
+
+
+def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
+    """
+    The losses of `records` (QARecords, or the examples `train` encodes
+    once per run), in order and in the params' dtype. Sets `grads` to the
+    sum of their gradients, over one pass per PASS_RECORDS records.
+    """
+    examples = [r if isinstance(r, _Example) else _Example.of(r, vocab)
+                for r in records]
+    dtype = params["W_img"].dtype
+    losses = []
+    for lo in range(0, len(examples), PASS_RECORDS):
+        items = [ex.item(packs[ex.record.image_id], cfg, dtype)
+                 for ex in examples[lo:lo + PASS_RECORDS]]
+        losses.append(_loss_and_grads(params, cfg, items, grads, add=lo > 0))
+    return np.concatenate(losses)
 
 
 def gradcheck_fns(cfg, record, pack, vocab):
@@ -553,19 +719,21 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     trained params, views of one new flat parameter vector, and the
     per-epoch mean loss curve. The input params are copied into that vector
     once and never modified. The vector, its gradient and both Adam moments
-    take the input params' dtype; losses are summed as Python floats. Raises
-    NumericsError on a non-finite loss, or if a step left a non-finite
-    parameter.
+    take the input params' dtype; losses are summed as Python floats. Each
+    record is encoded once, and each batch runs `batch_loss_and_grads`.
+    Raises NumericsError on a non-finite loss, or if a step left a
+    non-finite parameter.
     """
     flat = np.empty(param_count(cfg), _params_dtype(params))
     views = param_views(flat, cfg)
     for name, view in views.items():
         view[...] = params[name]
     params = views
-    # np.zeros is calloc-backed: no page is touched before the first batch
-    grad = np.zeros(flat.shape, flat.dtype)
+    # every batch's first pass writes all of it; np.empty touches no page
+    grad = np.empty(flat.shape, flat.dtype)
     grads = param_views(grad, cfg)
     state = AdamState.for_param(flat, train_cfg.learning_rate)
+    examples = [_Example.of(rec, vocab) for rec in records]
     rng = np.random.default_rng(train_cfg.seed)
     order = np.arange(len(records))
     curve = []
@@ -573,23 +741,20 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
-            grad.fill(0.0)
-            batch_loss = 0.0
-            for idx in batch:
-                rec = records[idx]
-                loss = record_loss_and_grads(
-                    params, cfg, rec, packs[rec.image_id], vocab, grads)
-                if not np.isfinite(loss):
-                    raise NumericsError(
-                        f"non-finite loss on {rec.qa_id} "
-                        f"(epoch {epoch}, batch at {start})")
-                batch_loss += float(loss)
+            batch = [examples[i]
+                     for i in order[start:start + train_cfg.batch_size]]
+            losses = batch_loss_and_grads(params, cfg, batch, packs, vocab,
+                                          grads)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                raise NumericsError(
+                    f"non-finite loss on {batch[bad[0]].record.qa_id} "
+                    f"(epoch {epoch}, batch at {start})")
+            epoch_loss += sum(float(loss) for loss in losses)
             grad *= 1.0 / len(batch)
             if train_cfg.clip_norm is not None:
                 clip_grads_by_norm(grad, train_cfg.clip_norm)
             adam_step(flat, grad, state)
-            epoch_loss += batch_loss
         curve.append(epoch_loss / len(order))
     if not np.isfinite(flat).all():
         raise NumericsError("training left non-finite parameters")

@@ -3,8 +3,9 @@ Plain per-gate reference for the attention LSTM: one tensor per gate
 (`Wv_i`, `Wh_f`, `b_o`, ...), a Python loop over the steps and one outer
 product per weight per step. It is the arithmetic the stacked, hoisted core
 in `groundedqa.qamodel` must reproduce, kept as an oracle for the tests.
-`train` is the per-tensor Adam loop that training on one flat parameter
-vector must reproduce bitwise.
+`train` is the per-tensor Adam loop, one record at a time, that batched
+training on one flat parameter vector must reproduce to round-off: the
+batched passes sum the records' gradients in another order.
 """
 
 import numpy as np
@@ -254,8 +255,8 @@ def adam_step(param, grad, state):
 def train(records, packs, vocab, params, cfg, train_cfg):
     """
     Mini-batch training with one gradient array, one AdamState and one
-    Adam update per tensor, over the stacked model's loss and gradients.
-    It does not clip.
+    Adam update per tensor, over the stacked model's loss and gradients of
+    one record at a time. It does not clip.
     """
     params = {k: v.copy() for k, v in params.items()}
     states = {name: AdamState.for_param(p, train_cfg.learning_rate)

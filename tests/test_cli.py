@@ -193,10 +193,15 @@ class TestPipeline:
         out = world["root"] / "hm"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
+                    "--splits", world["splits"],
                     "--checkpoint", str(run / "model.ckpt"),
                     "--task", "pointing", "--out", str(out)) == 0
+        assignment = datamodel.read_splits(world["splits"]).assignment
+        expected = {f"{r.qa_id}.pgm" for r in
+                    datamodel.parse_corpus(world["corpus"]).records
+                    if r.kind == "pointing" and assignment[r.qa_id] == "test"}
         pgms = [n for n in os.listdir(out) if n.endswith(".pgm")]
-        assert len(pgms) == 6
+        assert expected and set(pgms) == expected
         with open(out / pgms[0], "rb") as f:
             assert f.read(2) == b"P5"
 
@@ -212,6 +217,16 @@ class TestPipeline:
         assert len(tests) == 4
         assert {n for n in os.listdir(tmp_path) if n.endswith(".pgm")} \
             == tests
+
+    def test_heatmap_without_splits_is_usage_error(self, world, trained_run,
+                                                   tmp_path, capsys):
+        """heatmap maps the test split only; it never maps every record."""
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--checkpoint", str(trained_run / "model.ckpt"),
+                    "--out", str(tmp_path / "o")) == 1
+        assert "--splits is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_init_params_freed_before_the_first_step(self, world, tmp_path,
                                                      monkeypatch):
@@ -320,9 +335,10 @@ class TestMode:
         out = world["root"] / "hm_uniform"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
+                    "--splits", world["splits"],
                     "--checkpoint", str(uniform_ckpt), "--out", str(out)) == 0
         pgms = [n for n in os.listdir(out) if n.endswith(".pgm")]
-        assert len(pgms) == 12
+        assert len(pgms) == 4  # the test split
         for name in pgms:
             magic, _, _, pixels = (out / name).read_bytes().split(b"\n", 3)
             assert magic == b"P5"
@@ -341,6 +357,7 @@ class TestMode:
             mode = ["--config", str(cfg_file)]
         assert _run(command, "--corpus", world["corpus"],
                     "--features", world["features"],
+                    "--splits", world["splits"],
                     "--checkpoint", str(uniform_ckpt), *mode,
                     "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
@@ -451,6 +468,7 @@ class TestInputs:
         maps = tmp_path / "maps"
         assert _run("heatmap", "--corpus", str(path),
                     "--features", world["features"],
+                    "--splits", world["splits"],
                     "--checkpoint", str(untrained_ckpt),
                     "--out", str(maps / "sub")) == 2
         assert "'../escaped' is not a plain file name" \
@@ -566,12 +584,17 @@ class TestNonFinite:
         assert "non-finite parameters" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
-    def test_eval_of_non_finite_scores_exits_2(self, world, untrained_ckpt,
-                                               tmp_path):
+    @staticmethod
+    def _nan_checkpoint(untrained_ckpt, tmp_path):
         params, mc, vocab = qamodel.load_checkpoint(untrained_ckpt)
         ckpt = tmp_path / "nan.ckpt"
         qamodel.save_checkpoint({k: np.full_like(v, np.nan)
                                  for k, v in params.items()}, mc, vocab, ckpt)
+        return ckpt
+
+    def test_eval_of_non_finite_scores_exits_2(self, world, untrained_ckpt,
+                                               tmp_path):
+        ckpt = self._nan_checkpoint(untrained_ckpt, tmp_path)
         assert _run("eval", "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"], "--checkpoint", str(ckpt),
@@ -581,3 +604,14 @@ class TestNonFinite:
         assert len(errors) == 4  # every test record
         assert all("NumericsError: non-finite candidate scores" in l
                    for l in errors)
+
+    def test_heatmap_of_non_finite_attention_exits_3(
+            self, world, untrained_ckpt, tmp_path, capsys):
+        ckpt = self._nan_checkpoint(untrained_ckpt, tmp_path)
+        out = tmp_path / "maps"
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(ckpt),
+                    "--out", str(out)) == 3
+        assert "non-finite attention" in capsys.readouterr().err
+        assert not [n for n in os.listdir(out) if n.endswith(".pgm")]

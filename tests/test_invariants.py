@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import groundedqa
@@ -57,3 +60,33 @@ def test_every_public_name_is_reached():
     assert not unreached, unreached
     stale = sorted(set(UNREACHED_ON_PURPOSE) & used)
     assert not stale, f"now reached; drop from UNREACHED_ON_PURPOSE: {stale}"
+
+
+def _load_by_path(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_traced_function_exists():
+    """
+    Each function that a per-layer metric of the benchmark needs is a
+    public top-level function of its module. The benchmark reports a metric
+    whose function is gone as null, and such a result is malformed.
+    """
+    bench = _load_by_path(TESTS.parent / "perfbench" / "run.py",
+                          "perfbench_run")
+    needed = sorted({label for _, _, needs, _ in bench.LAYER_METRICS
+                     for label in needs})
+    assert needed
+    missing = []
+    for label in needed:
+        layer, name = label.split(".")
+        module = importlib.import_module(f"groundedqa.{layer}")
+        fn = vars(module).get(name)
+        if (name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__
+                or fn.__qualname__ != name):
+            missing.append(label)
+    assert not missing, missing

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -469,6 +470,18 @@ class TestReferenceOracle:
     # only round-off, which no relative bound can compare
     ZERO = ("b_a", "b_ptr")
 
+    def _assert_grads_match(self, grads, ref_grads):
+        ref_grads = lstm_reference.stack_gates(ref_grads)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            if name in self.ZERO:
+                assert np.max(np.abs(ref)) < 1e-14, name
+                assert np.max(np.abs(grads[name])) < 1e-14, name
+                continue
+            err = np.max(np.abs(grads[name] - ref)) / max(
+                np.max(np.abs(ref)), 1e-9)
+            assert err <= 1e-9, (name, err)
+
     @pytest.mark.parametrize("shape", ["micro", "mid"])
     @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
     @pytest.mark.parametrize("make_record", [
@@ -483,17 +496,38 @@ class TestReferenceOracle:
             params, replace(cfg, mode=mode), rec, pack, vocab, grads)
         ref_loss, ref_grads = lstm_reference.record_loss_and_grads(
             lstm_reference.split_gates(params), cfg, rec, pack, vocab, mode)
-        ref_grads = lstm_reference.stack_gates(ref_grads)
         assert abs(loss - ref_loss) <= 1e-9 * max(abs(ref_loss), 1e-9)
-        assert set(grads) == set(ref_grads)
-        for name, ref in ref_grads.items():
-            if name in self.ZERO:
-                assert np.max(np.abs(ref)) < 1e-14, name
-                assert np.max(np.abs(grads[name])) < 1e-14, name
-                continue
-            err = np.max(np.abs(grads[name] - ref)) / max(
-                np.max(np.abs(ref)), 1e-9)
-            assert err <= 1e-9, (name, err)
+        self._assert_grads_match(grads, ref_grads)
+
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    @pytest.mark.parametrize("cap", [qamodel.PASS_RECORDS, 2])
+    def test_batch_matches_the_summed_records(self, monkeypatch, mode, cap):
+        """
+        A telling/pointing batch of unequal lengths, in one pass or in
+        passes of 2: each loss is its record's, and the gradient is the sum
+        of theirs. The gradient starts as NaN, so every tensor is written.
+        """
+        monkeypatch.setattr(qamodel, "PASS_RECORDS", cap)
+        vocab, cfg, packs = _world("mid")
+        cfg = replace(cfg, mode=mode)
+        # 11, 3 and 6 tokens
+        records = [tiny_repeat_record(), tiny_pointing_record(),
+                   tiny_telling_record()]
+        params = init_params(cfg, 8)
+        grads = {name: np.full(shape, np.nan)
+                 for name, shape in param_shapes(cfg).items()}
+        losses = qamodel.batch_loss_and_grads(params, cfg, records, packs,
+                                              vocab, grads)
+        assert losses.shape == (3,)
+        summed = lstm_reference.split_gates(zero_grads(cfg))
+        for rec, loss in zip(records, losses):
+            ref_loss, ref_grads = lstm_reference.record_loss_and_grads(
+                lstm_reference.split_gates(params), cfg, rec,
+                packs[rec.image_id], vocab, mode)
+            assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss), rec.qa_id
+            for name, g in ref_grads.items():
+                summed[name] += g
+        self._assert_grads_match(grads, summed)
 
     @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
     def test_attention_trace_matches(self, mode):
@@ -555,19 +589,28 @@ class TestTrain:
         assert curve[-1] < curve[0]
 
     @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
-    def test_bitwise_equal_to_per_tensor_loop(self, micro_world, mode):
+    def test_matches_per_tensor_loop(self, micro_world, mode):
+        """
+        Batched passes against one record at a time and one Adam update per
+        tensor, in float64. Batching changes the summation order, so the
+        match is to round-off, not bitwise.
+        """
         corpus, packs, vocab, cfg, params = micro_world
         cfg = replace(cfg, mode=mode)
-        # 16 records in batches of 3: five full batches and a partial one
-        tc = qamodel.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-2,
-                                 seed=4)
-        trained, curve = qamodel.train(corpus.records, packs, vocab, params,
-                                       cfg, tc)
-        expected, expected_curve = lstm_reference.train(
-            corpus.records, packs, vocab, params, cfg, tc)
-        assert curve == expected_curve
-        for name in expected:
-            assert np.array_equal(trained[name], expected[name]), name
+        # 16 records in batches of 3 (five full batches and a partial one),
+        # then in one batch of two passes
+        assert qamodel.PASS_RECORDS < 16
+        for batch_size in (3, 16):
+            tc = qamodel.TrainConfig(epochs=2, batch_size=batch_size,
+                                     learning_rate=1e-2, seed=4)
+            trained, curve = qamodel.train(corpus.records, packs, vocab,
+                                           params, cfg, tc)
+            expected, expected_curve = lstm_reference.train(
+                corpus.records, packs, vocab, params, cfg, tc)
+            assert curve == pytest.approx(expected_curve, rel=1e-12, abs=0)
+            for name in expected:
+                err = np.max(np.abs(trained[name] - expected[name]))
+                assert err <= 1e-9, (batch_size, name, err)
 
     def test_returns_views_of_a_new_vector(self, micro_world):
         corpus, packs, vocab, cfg, params = micro_world
@@ -691,6 +734,46 @@ class TestFloat32:
         assert acc >= 0.95, (acc, epochs)
 
 
+class TestMemory:
+    """
+    The transient peak of `batch_loss_and_grads` (tracemalloc) at 49 cells,
+    hidden 16 and attention width 16: no (T, B, cells, d_a) attention
+    cache, and passes of at most PASS_RECORDS records.
+    """
+
+    CFG = ModelConfig(hidden=16, d_a=16, vocab_size=20, conv_cells=49,
+                      conv_channels=10, feat_dim=14)
+
+    def _peak(self, n_records, question_tokens):
+        packs = tiny_packs(dict(global_dim=self.CFG.feat_dim,
+                                conv_cells=self.CFG.conv_cells,
+                                conv_channels=self.CFG.conv_channels))
+        records = [replace(tiny_telling_record(), qa_id=f"t{k}",
+                           question=" ".join(["what"] * question_tokens))
+                   for k in range(n_records)]
+        params = init_params(self.CFG, 0)
+        grads = zero_grads(self.CFG)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qamodel.batch_loss_and_grads(params, self.CFG, records, packs,
+                                         vocab20(), grads)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_keep_the_attention_tanh_per_step(self):
+        cfg, batch = self.CFG, qamodel.PASS_RECORDS
+        growth = self._peak(batch, 40) - self._peak(batch, 10)
+        # what caching the tanh of the 30 extra steps would add on its own
+        cached = 30 * batch * cfg.conv_cells * cfg.d_a * 8
+        assert growth < cached, (growth, cached)
+
+    def test_peak_does_not_grow_with_the_batch(self):
+        at_cap = self._peak(qamodel.PASS_RECORDS, 10)
+        assert self._peak(4 * qamodel.PASS_RECORDS, 10) < 1.1 * at_cap
+
+
 def _assert_one_vector(params, cfg, dtype=np.float64):
     """The params tile one buffer back to back, in sorted name order."""
     names = sorted(param_shapes(cfg))
@@ -704,15 +787,6 @@ def _assert_one_vector(params, cfg, dtype=np.float64):
         assert view.ctypes.data == at, name
         at += view.nbytes
     assert len({id(view.base) for view in params.values()}) == 1
-
-
-def test_add_outer_is_bitwise_np_outer():
-    rng = np.random.default_rng(8)
-    out = rng.normal(size=(37, 5000))  # blocks of 13 rows, the last partial
-    a, b = rng.normal(size=37), rng.normal(size=5000)
-    expected = out + np.outer(a, b)
-    qamodel._add_outer(out, a, b)
-    assert np.array_equal(out, expected)
 
 
 class TestCheckpoints:
