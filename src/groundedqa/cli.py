@@ -185,8 +185,10 @@ def _require(cfg: RunConfig, *names):
 
 def _open_run(cfg: RunConfig, split=None):
     """
-    Prepare --out; return echo, corpus, selected records, their packs. Each
-    pack must hold the region of every pointing candidate of its records.
+    Prepare --out; return echo, corpus, selected records and the
+    `featurestore.PackFiles` of their images. Each pack is read and checked
+    here, then dropped: it must hold its image and the region of every
+    pointing candidate of its records.
     """
     _require(cfg, "corpus", "features")
     echo = _prepare_out(cfg)
@@ -197,22 +199,20 @@ def _open_run(cfg: RunConfig, split=None):
     if split and cfg.splits:
         assignment = datamodel.read_splits(cfg.splits).assignment
         records = [r for r in records if assignment.get(r.qa_id) == split]
-    paths = {r.image_id: featurestore.pack_path(cfg.features, r.image_id)
-             for r in records}
-    packs = {i: featurestore.read_feature_pack(p) for i, p in paths.items()}
-    for image_id, pack in packs.items():
-        if pack.image_id != image_id:
-            raise ValidationError(f"{paths[image_id]}: holds the pack of "
-                                  f"image {pack.image_id!r}")
+    by_image = {}
     for rec in records:
-        if rec.kind != "pointing":
-            continue
-        regions = packs[rec.image_id].region_features
-        for rid in (rec.answer, *rec.distractors):
-            if rid not in regions:
-                raise ValidationError(
-                    f"{paths[rec.image_id]}: no region feature for {rid!r}, "
-                    f"a candidate of record {rec.qa_id}")
+        by_image.setdefault(rec.image_id, []).append(rec)
+    packs = featurestore.PackFiles(cfg.features, by_image)
+    for image_id, recs in by_image.items():
+        regions = packs[image_id].region_features
+        for rec in recs:
+            if rec.kind != "pointing":
+                continue
+            for rid in (rec.answer, *rec.distractors):
+                if rid not in regions:
+                    raise ValidationError(
+                        f"{packs.paths[image_id]}: no region feature for "
+                        f"{rid!r}, a candidate of record {rec.qa_id}")
     return echo, corpus, records, packs
 
 
@@ -272,17 +272,13 @@ def _cmd_eval(cfg: RunConfig) -> int:
     if not records:
         raise ValidationError("no test records selected")
     if cfg.gold_stub:
-        def predict(rec, pack):
-            _, target = datamodel.mc_candidates(rec)
-            return target
+        outcomes = [datamodel.mc_candidates(rec)[1] for rec in records]
     else:
         _require(cfg, "checkpoint")
         params, mc, vocab = _load_model(cfg)
-
-        def predict(rec, pack):
-            chosen, _ = qamodel.predict_mc(rec, pack, params, vocab, mc)
-            return chosen
-    report = evalkit.evaluate(predict, records, packs)
+        outcomes = [o if isinstance(o, Exception) else o[0] for o in
+                    qamodel.predict_batch(records, packs, params, vocab, mc)]
+    report = evalkit.tally(records, outcomes)
     with open(os.path.join(cfg.out, "report.txt"), "w") as f:
         f.write(report.to_text(header_lines=echo))
     if report.errors:

@@ -40,22 +40,34 @@ class EvalReport:
 def evaluate(predict_fn, records, packs) -> EvalReport:
     """
     Accuracy of predict_fn(record, pack) -> candidate index against the
-    correct candidate position. Predictor failures count as wrong and are
-    reported, never silently skipped.
+    correct candidate position, one record at a time (see `tally`).
+    """
+    outcomes = []
+    for rec in records:
+        try:
+            outcomes.append(predict_fn(rec, packs[rec.image_id]))
+        except Exception as e:  # predictor failure -> counted as error
+            outcomes.append(e)
+    return tally(records, outcomes)
+
+
+def tally(records, outcomes) -> EvalReport:
+    """
+    The report of `outcomes[i]`, the candidate index chosen for
+    `records[i]` or the exception that failed it. Failures count as wrong
+    and are reported, never silently skipped.
     """
     correct = Counter()
     counts = Counter()
     kind_correct = Counter()
     kind_counts = Counter()
     errors = []
-    for rec in records:
+    for rec, chosen in zip(records, outcomes, strict=True):
         _, target = datamodel.mc_candidates(rec)
         counts[rec.category] += 1
         kind_counts[rec.kind] += 1
-        try:
-            chosen = predict_fn(rec, packs[rec.image_id])
-        except Exception as e:  # predictor failure -> counted as error
-            errors.append((rec.qa_id, f"{type(e).__name__}: {e}"))
+        if isinstance(chosen, Exception):
+            errors.append((rec.qa_id, f"{type(chosen).__name__}: {chosen}"))
             continue
         if chosen == target:
             correct[rec.category] += 1

@@ -11,7 +11,10 @@ a file stays float32 in memory: its arrays are read-only views of the
 file's bytes, and the model casts them to its params' dtype as it reads
 them (a no-op for a float32 model). A features
 directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
-run reads only the packs of the records it selects.
+run reads only the packs of the records it selects, through `PackFiles`,
+which reads a pack each time it is looked up and keeps none. A run checks
+each pack once when it opens, then a pass of records reads its own packs
+when the pass starts and drops them when it ends.
 """
 
 import os
@@ -60,6 +63,25 @@ def pack_path(features_dir, image_id: str) -> str:
     """The file of an image's pack; the id must be a plain file name."""
     check_file_name(image_id, "image id")
     return os.path.join(features_dir, f"{image_id}.fpk")
+
+
+class PackFiles:
+    """
+    Image id -> its pack, read from its file (`pack_path`) at each lookup
+    and checked to hold that image. Nothing is kept: a run holds only the
+    packs it is using.
+    """
+
+    def __init__(self, features_dir, image_ids):
+        self.paths = {i: pack_path(features_dir, i) for i in image_ids}
+
+    def __getitem__(self, image_id) -> FeaturePack:
+        path = self.paths[image_id]
+        pack = read_feature_pack(path)
+        if pack.image_id != image_id:
+            raise FormatError(f"{path}: holds the pack of image "
+                              f"{pack.image_id!r}")
+        return pack
 
 
 def write_feature_pack(pack: FeaturePack, path) -> None:

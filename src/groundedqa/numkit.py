@@ -21,15 +21,14 @@ class NumericsError(ArithmeticError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows; dtype preserved so callers can
-    # evaluate in extended precision
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below, the arithmetic of splitting by sign without its gathers and
+    # scatters. min(x, -x) is -|x| that passes a NaN on with its sign.
+    # The dtype is kept so callers can evaluate in extended precision.
     x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    d = 1 + e
+    return np.where(x >= 0, 1 / d, e / d)
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:

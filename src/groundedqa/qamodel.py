@@ -23,7 +23,17 @@ GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
 It keeps no (T, B, cells, d_a) attention cache: each step's attention tanh
 is recomputed from the projection and that step's hidden state. `train`
 runs one pass per PASS_RECORDS records of a batch, so memory does not grow
-with the batch; every other caller runs the pass at B = 1.
+with the batch.
+
+Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too:
+one encoder pass over their images and questions, then each telling
+record's 4 candidate answers are decoded in one 4-row pass from its final
+state, whose rows share the record's conv map and attention projection as
+a (1, cells, .) view, and one pointing head scores every pointing record's
+candidates. A pass copies each record's features into its stacked arrays
+and drops the pack, so a run holds no more packs than it is using.
+`predict_mc`, `encode`, `telling_answer_loglik`, the single-record losses
+and `attention_trace` run at B = 1.
 
 Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
 run float32; gradient checks and the reference comparisons run float64 or
@@ -65,6 +75,7 @@ MODES = (LEARNED, UNIFORM)
 GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
 _STACKED = ("Wv", "Wh", "Wr")
 END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
+PASS_RECORDS = 8  # records per pass: memory does not grow with the batch
 
 
 @dataclass
@@ -279,8 +290,9 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
     Run the cell over B records: each reads its image feature `feat[b]`
     (when given), then its `lengths[b]` tokens of `ids[b]`, from the state
     (h0[b], c0[b]) or zeros. `proj` is the attention projection of `conv`
-    if the caller already has it. Buffers take the params' dtype, so the
-    pass can run in extended precision.
+    if the caller already has it; both may be one (1, cells, .) map that
+    every record shares. Buffers take the params' dtype, so the pass can
+    run in extended precision.
     """
     W_word = params["W_word"]
     bad = ids[(ids < 0) | (ids >= W_word.shape[1])]
@@ -310,7 +322,8 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
     else:
         if proj is None:
             proj = _project(conv, params)
-        buf = np.empty_like(proj)
+        # B rows even when every row shares one (1, cells, d_a) projection
+        buf = np.empty((B,) + proj.shape[1:], proj.dtype)
     for t in range(T):
         pre = X[t] + _by_t(H[t], Wh)
         if mode == LEARNED:
@@ -331,15 +344,18 @@ class EncoderState:
     proj: np.ndarray = None  # (1, cells, d_a), shared by every decoded answer
 
 
-def _features(arr, dtype):
+def _feature_dtype(dtype) -> np.dtype:
     """
-    `arr` in a pass's dtype; no copy when it already has it. A pack holds
+    The dtype a pass in `dtype` reads pack features in. A pack holds
     float32 (read) or float64 (synthesized) values, so a wider pass reads
     them as float64, and uniform attention's conv.mean keeps its bits.
     """
-    if np.dtype(dtype).itemsize > 8:
-        dtype = np.float64
-    return arr.astype(dtype, copy=False)
+    return np.dtype(np.float64 if np.dtype(dtype).itemsize > 8 else dtype)
+
+
+def _features(arr, dtype):
+    """`arr` in a pass's feature dtype; no copy when it already has it."""
+    return arr.astype(_feature_dtype(dtype), copy=False)
 
 
 def slice_pack(pack, cfg: ModelConfig, dtype=np.float64):
@@ -370,6 +386,42 @@ def _answer_head(params, hs, targets):
     return probs, np.log(np.maximum(picked, 1e-12))
 
 
+def _pointing_head(params, F, h):
+    """
+    Candidate region features F (P, 4, feat_dim) through W_ptr, b_ptr, and
+    their dot products with the states h (P, hidden): (the transformed
+    candidates (P, 4, hidden), scores (P, 4)).
+    """
+    if params["W_ptr"].shape[1] != F.shape[-1]:
+        raise DimensionError(
+            f"W_ptr {params['W_ptr'].shape} vs regions {F.shape}")
+    transformed = (_by_t(F.reshape(-1, F.shape[-1]), params["W_ptr"])
+                   + params["b_ptr"]).reshape(F.shape[:-1] + (-1,))
+    return transformed, (transformed @ h[:, :, None])[:, :, 0]
+
+
+def _answer_logliks(params, mode, conv, proj, h, c, answers) -> list:
+    """
+    For each answer (token id lists), the sum of log-probabilities of its
+    tokens plus the end token, decoded from the state (h, c) that continues
+    the same attended cell. One pass decodes them all; its rows share the
+    (1, cells, .) conv map and projection. No length normalization.
+    """
+    ids, lengths = _pad(answers)
+    k, n = len(answers), h.shape[0]
+    run = _forward(params, conv, ids, lengths, mode,
+                   h0=np.broadcast_to(h, (k, n)),
+                   c0=np.broadcast_to(c, (k, n)), proj=proj)
+    # the state before each answer token, and after the last, predicts it
+    # and then END
+    steps = np.concatenate([np.arange(m + 1) for m in lengths])
+    rows = np.repeat(np.arange(k), lengths + 1)
+    _, logp = _answer_head(params, run.H[steps, rows],
+                           np.concatenate([a + [END_INDEX] for a in answers]))
+    ends = np.cumsum(lengths + 1)
+    return [logp[end - m - 1:end].sum() for m, end in zip(lengths, ends)]
+
+
 def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
     """
     Sum of log-probabilities of the answer tokens plus the end token, with
@@ -377,43 +429,126 @@ def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
     """
     if not answer_tokens:
         raise ValueError("empty answer sequence")
-    run = _forward(params, state.conv[None], *_pad([answer_tokens]),
-                   state.mode, h0=state.h[None], c0=state.c[None],
-                   proj=state.proj)
-    _, logp = _answer_head(params, run.H[:, 0],
-                           list(answer_tokens) + [END_INDEX])
-    return float(logp.sum())
+    return float(_answer_logliks(params, state.mode, state.conv[None],
+                                 state.proj, state.h, state.c,
+                                 [list(answer_tokens)])[0])
 
 
-def pointing_candidate_score(state: EncoderState, region_feat, params) -> float:
-    """Dot product of the transformed region feature with the final hidden."""
-    if params["W_ptr"].shape[1] != region_feat.shape[0]:
-        raise DimensionError(
-            f"W_ptr {params['W_ptr'].shape} vs region {region_feat.shape}")
-    return float((params["W_ptr"] @ region_feat + params["b_ptr"]) @ state.h)
+@dataclass
+class _Query:
+    """A record to score, with its token ids encoded."""
+    slot: int  # its position among the records of the pass
+    image_id: str
+    q: list  # question token ids
+    answers: list = None  # candidate answer token ids of a telling record
+    regions: list = None  # candidate region ids of a pointing record
+
+    @classmethod
+    def of(cls, slot, record, vocab) -> "_Query":
+        cands, _ = datamodel.mc_candidates(record)
+        q = vocab.encode(datamodel.tokenize(record.question))
+        if record.kind != "telling":
+            return cls(slot, record.image_id, q, regions=cands)
+        answers = [vocab.encode(datamodel.tokenize(c)) for c in cands]
+        if not all(answers):
+            raise ValueError(f"empty answer sequence in {record.qa_id}")
+        return cls(slot, record.image_id, q, answers=answers)
+
+
+def predict_batch(records, packs, params, vocab, cfg) -> list:
+    """
+    Score each record's 4 candidates, in their deterministic presentation
+    order, one pass per PASS_RECORDS records. Per record, returns (chosen
+    index, scores), ties going to the lowest index, or the exception that
+    failed it: a non-finite score fails its own record with NumericsError,
+    an error raised by a pass fails each of its records. `packs` maps an
+    image id to its pack; each pass looks up its images when it starts.
+    """
+    outcomes = []
+    for lo in range(0, len(records), PASS_RECORDS):
+        outcomes += _predict_pass(records[lo:lo + PASS_RECORDS], packs,
+                                  params, vocab, cfg)
+    return outcomes
+
+
+def _predict_pass(records, packs, params, vocab, cfg) -> list:
+    """
+    One encoder pass over the records' images and questions, then one
+    decode per telling record and one pointing head over the rest. Each
+    image's pack is looked up once and dropped as soon as its records'
+    features are copied into the pass's stacked arrays.
+    """
+    outcomes = [None] * len(records)
+    by_image = {}
+    for slot, rec in enumerate(records):
+        try:
+            query = _Query.of(slot, rec, vocab)
+        except Exception as e:  # fails this record only
+            outcomes[slot] = e
+        else:
+            by_image.setdefault(rec.image_id, []).append(query)
+    dtype = params["W_img"].dtype
+    fdtype, n = _feature_dtype(dtype), len(records)
+    feat = np.empty((n, cfg.feat_dim), fdtype)
+    conv = np.empty((n, cfg.conv_cells, cfg.conv_channels), fdtype)
+    F = np.empty((n, 4, cfg.feat_dim), fdtype)
+    rows, pack, held = [], None, None  # rows: the queries read, in order
+    for query in (q for group in by_image.values() for q in group):
+        b = len(rows)
+        try:
+            if held != query.image_id:
+                pack, held = packs[query.image_id], query.image_id
+            feat[b], conv[b] = slice_pack(pack, cfg, dtype)
+            for k, rid in enumerate(query.regions or ()):
+                F[b, k] = region_feature(pack, rid, cfg, dtype)
+        except Exception as e:  # fails this record only
+            outcomes[query.slot] = e
+        else:
+            rows.append(query)
+    del pack
+    if not rows:
+        return outcomes
+    b = len(rows)
+    try:
+        run = _forward(params, conv[:b], *_pad([q.q for q in rows]),
+                       cfg.mode, feat=feat[:b])
+        # each record's state after its own last step
+        last = (run.lengths + 1, np.arange(b))
+        h, c = run.H[last], run.C[last]
+        scores = np.empty((b, 4), h.dtype)
+        point = [i for i, q in enumerate(rows) if q.answers is None]
+        if point:
+            _, scores[point] = _pointing_head(params, F[point], h[point])
+        for i, q in enumerate(rows):
+            if q.answers is not None:
+                proj = None if run.proj is None else run.proj[i:i + 1]
+                scores[i] = _answer_logliks(params, cfg.mode, conv[i:i + 1],
+                                            proj, h[i], c[i], q.answers)
+    except Exception as e:  # fails every record of the pass
+        for q in rows:
+            outcomes[q.slot] = e
+        return outcomes
+    for q, row in zip(rows, scores):
+        row = [float(s) for s in row]
+        if np.isfinite(row).all():
+            outcomes[q.slot] = int(np.argmax(row)), row  # first maximum
+        else:
+            outcomes[q.slot] = NumericsError(
+                f"non-finite candidate scores {row}")
+    return outcomes
 
 
 def predict_mc(record, pack, params, vocab, cfg):
     """
     Score the record's 4 candidates (in their deterministic presentation
-    order) and return (chosen index, scores). Ties go to the lowest index;
-    a non-finite score raises NumericsError.
+    order) and return (chosen index, scores): `predict_batch` at one
+    record, raising what failed it.
     """
-    cands, _ = datamodel.mc_candidates(record)
-    q_tokens = vocab.encode(datamodel.tokenize(record.question))
-    state = encode(pack, q_tokens, params, cfg)
-    scores = []
-    for cand in cands:
-        if record.kind == "telling":
-            a_tokens = vocab.encode(datamodel.tokenize(cand))
-            scores.append(telling_answer_loglik(state, a_tokens, params))
-        else:
-            feat = region_feature(pack, cand, cfg, params["W_img"].dtype)
-            scores.append(pointing_candidate_score(state, feat, params))
-    if not np.isfinite(scores).all():
-        raise NumericsError(f"non-finite candidate scores {scores}")
-    best = int(np.argmax(scores))  # argmax returns the first maximum
-    return best, scores
+    outcome, = predict_batch([record], {record.image_id: pack}, params,
+                             vocab, cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def attention_trace(record, pack, params, vocab, cfg) -> list:
@@ -574,9 +709,8 @@ def _loss_and_grads(params, cfg, items, grads=None, add=True):
         last = lengths[point]
         h = Hs[last, point]
         F = np.stack([items[b].cands for b in point])  # (P, 4, feat_dim)
-        transformed = (_by_t(F.reshape(-1, F.shape[2]), params["W_ptr"])
-                       + params["b_ptr"]).reshape(len(point), 4, -1)
-        probs = softmax_rows((transformed @ h[:, :, None])[:, :, 0])
+        transformed, scores = _pointing_head(params, F, h)
+        probs = softmax_rows(scores)
         targets = [items[b].target for b in point]
         picked = probs[np.arange(len(point)), targets]
         losses[point] = -np.log(np.maximum(picked, 1e-12))
@@ -659,9 +793,6 @@ def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
                                    grads)
 
 
-PASS_RECORDS = 8  # records per pass: memory does not grow with the batch
-
-
 def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     """
     The losses of `records` (QARecords, or the examples `train` encodes
@@ -673,9 +804,11 @@ def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     dtype = params["W_img"].dtype
     losses = []
     for lo in range(0, len(examples), PASS_RECORDS):
-        items = [ex.item(packs[ex.record.image_id], cfg, dtype)
-                 for ex in examples[lo:lo + PASS_RECORDS]]
-        losses.append(_loss_and_grads(params, cfg, items, grads, add=lo > 0))
+        # no name holds the items, so a pass's packs go before the next's
+        losses.append(_loss_and_grads(
+            params, cfg, [ex.item(packs[ex.record.image_id], cfg, dtype)
+                          for ex in examples[lo:lo + PASS_RECORDS]],
+            grads, add=lo > 0))
     return np.concatenate(losses)
 
 

@@ -2,6 +2,7 @@ import filecmp
 import os
 import shutil
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -395,7 +396,10 @@ class TestInputs:
                     "--out", str(tmp_path / "o")) == 0
         images = _split_images(world, split)
         assert len(images) == (6 if split == "train" else 4)
-        assert sorted(read) == sorted(f"{i}.fpk" for i in images)
+        assert set(read) == {f"{i}.fpk" for i in images}
+        # each is checked when the run opens; eval reads it again in its pass
+        assert max(Counter(read).values()) <= (1 if command == "train"
+                                               else 2)
 
     def test_train_with_a_missing_pack_names_it(self, world, tmp_path,
                                                 capsys):
@@ -477,8 +481,12 @@ class TestInputs:
                     if n.endswith(".pgm")]
 
 
-def _drop_a_region(world, tmp_path, split):
-    """Copy the packs; delete one candidate region of a `split` record."""
+def _edit_regions(world, tmp_path, split, edit):
+    """
+    Copy the packs; replace the region features of the first pointing
+    `split` record's pack by edit(its regions, the record). Returns the
+    features directory, that pack's path and the record.
+    """
     assignment = datamodel.read_splits(world["splits"]).assignment
     rec = min((r for r in datamodel.parse_corpus(world["corpus"]).records
                if r.kind == "pointing" and assignment[r.qa_id] == split),
@@ -487,11 +495,29 @@ def _drop_a_region(world, tmp_path, split):
     shutil.copytree(world["features"], features)
     path = featurestore.pack_path(str(features), rec.image_id)
     pack = featurestore.read_feature_pack(path)
-    rid = rec.distractors[0]
-    regions = {k: v for k, v in pack.region_features.items() if k != rid}
-    featurestore.write_feature_pack(replace(pack, region_features=regions),
-                                    path)
-    return str(features), path, rid, rec.qa_id
+    featurestore.write_feature_pack(
+        replace(pack, region_features=edit(pack.region_features, rec)), path)
+    return str(features), path, rec
+
+
+def _drop_a_region(world, tmp_path, split):
+    """Copy the packs; delete one candidate region of a `split` record."""
+    features, path, rec = _edit_regions(
+        world, tmp_path, split, lambda regions, rec: {
+            k: v for k, v in regions.items() if k != rec.distractors[0]})
+    return features, path, rec.distractors[0], rec.qa_id
+
+
+def _count_passes(monkeypatch):
+    """The list that gets one entry per forward pass the model runs."""
+    real, passes = qamodel._forward, []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qamodel, "_forward", counted)
+    return passes
 
 
 class TestPreflight:
@@ -500,15 +526,39 @@ class TestPreflight:
     @pytest.mark.parametrize("command,split", [("train", "train"),
                                                ("eval", "test")])
     def test_missing_candidate_region_names_it(
-            self, world, untrained_ckpt, tmp_path, capsys, command, split):
+            self, world, untrained_ckpt, tmp_path, capsys, monkeypatch,
+            command, split):
         features, path, rid, qa_id = _drop_a_region(world, tmp_path, split)
         extra = (["--epochs", "1"] if command == "train"
                  else ["--checkpoint", str(untrained_ckpt)])
+        passes = _count_passes(monkeypatch)
         assert _run(command, "--corpus", world["corpus"],
                     "--features", features, "--splits", world["splits"],
                     *extra, "--out", str(tmp_path / "o")) == 2
+        assert not passes
         err = capsys.readouterr().err
         assert path in err and rid in err and qa_id in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+        assert not (tmp_path / "o" / "report.txt").exists()
+
+    @pytest.mark.parametrize("command,split", [("train", "train"),
+                                               ("eval", "test")])
+    def test_pack_of_another_image_stops_the_run(
+            self, world, untrained_ckpt, tmp_path, capsys, monkeypatch,
+            command, split):
+        features = tmp_path / "packs"
+        shutil.copytree(world["features"], features)
+        first, last = sorted(_split_images(world, split))[::3][:2]
+        shutil.copyfile(features / f"{first}.fpk", features / f"{last}.fpk")
+        extra = (["--epochs", "1"] if command == "train"
+                 else ["--checkpoint", str(untrained_ckpt)])
+        passes = _count_passes(monkeypatch)
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", str(features), "--splits", world["splits"],
+                    *extra, "--out", str(tmp_path / "o")) == 2
+        assert not passes
+        err = capsys.readouterr().err
+        assert f"{last}.fpk: holds the pack of image '{first}'" in err
         assert not (tmp_path / "o" / "model.ckpt").exists()
         assert not (tmp_path / "o" / "report.txt").exists()
 
@@ -530,16 +580,15 @@ class TestPreflight:
 
     def test_eval_with_a_failed_record_exits_2_after_the_report(
             self, world, untrained_ckpt, tmp_path, monkeypatch, capsys):
-        real = qamodel.predict_mc
+        real = qamodel.predict_batch
         failed = []
 
-        def flaky(rec, *args):
-            if not failed:
-                failed.append(rec.qa_id)
-                raise RuntimeError("boom")
-            return real(rec, *args)
+        def flaky(records, *args):
+            outcomes = real(records, *args)
+            failed.append(records[0].qa_id)
+            return [RuntimeError("boom")] + outcomes[1:]
 
-        monkeypatch.setattr(qamodel, "predict_mc", flaky)
+        monkeypatch.setattr(qamodel, "predict_batch", flaky)
         out = tmp_path / "o"
         assert _run("eval", "--corpus", world["corpus"],
                     "--features", world["features"],
@@ -604,6 +653,32 @@ class TestNonFinite:
         assert len(errors) == 4  # every test record
         assert all("NumericsError: non-finite candidate scores" in l
                    for l in errors)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_of_one_non_finite_record_fails_it_alone(
+            self, world, untrained_ckpt, tmp_path, capsys):
+        """A finite float32 region whose W_ptr product overflows: its record
+        is an error line, and the others of its pass are scored."""
+        params, mc, _ = qamodel.load_checkpoint(untrained_ckpt)
+        region = np.zeros(featurestore.GLOBAL_DIM, np.float32)
+        region[:mc.feat_dim] = (np.finfo(np.float32).max
+                                * np.sign(params["W_ptr"][0]))
+        features, _, rec = _edit_regions(
+            world, tmp_path, "test",
+            lambda regions, rec: dict(regions, **{rec.answer: region}))
+        qa_id = rec.qa_id
+        out = tmp_path / "rep"
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", features, "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(out)) == 2
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [l.split("\t")[:2] for l in lines
+                if l.startswith("# error\t")] == [["# error", qa_id]]
+        assert any(l.startswith(f"# error\t{qa_id}\tNumericsError: "
+                                f"non-finite candidate scores") for l in lines)
+        assert "overall\t4\t" in (out / "report.txt").read_text()
+        assert "1 of 4 records failed" in capsys.readouterr().err
 
     def test_heatmap_of_non_finite_attention_exits_3(
             self, world, untrained_ckpt, tmp_path, capsys):

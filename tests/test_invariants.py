@@ -19,6 +19,9 @@ UNREACHED_ON_PURPOSE = {
     "lstm_step": "the hand-written oracle of the LSTM cell, kept for study",
     "accuracy_by_frequency_bin": "the per-frequency-bin analysis that the "
                                  "stats report is still to use",
+    "telling_answer_loglik": "the one-answer decode that the benchmark's "
+                             "qamodel.telling_decode_ms_per_candidate "
+                             "traces; predict_batch decodes 4 at once",
 }
 
 

@@ -6,7 +6,42 @@ import pytest
 from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK,
                                ADAM_EPSILON, AdamState, DimensionError,
                                adam_step, clip_grads_by_norm,
-                               finite_diff_grad_check, softmax_stable)
+                               finite_diff_grad_check, sigmoid,
+                               softmax_stable)
+
+
+def _sigmoid_split_by_sign(x):
+    """The sign split with boolean-mask gathers and scatters that
+    `sigmoid` replaced, kept as its reference."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    def test_bitwise_equal_to_the_sign_split(self, dtype):
+        past_overflow = 2 * float(np.log(np.finfo(dtype).max))
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, past_overflow,
+                   -past_overflow, 1e-30, -1e-30, 30.0, -30.0]
+        rng = np.random.default_rng(0)
+        n = 16  # hidden width; the gate block is (8, 4n)
+        values = rng.normal(0.0, 8.0, size=8 * 4 * n)
+        values[:len(special)] = special
+        pre = values.astype(dtype).reshape(8, 4 * n)
+        x = pre[..., :3 * n]  # strided, as `_cell` passes it
+        assert not x.flags.c_contiguous
+        got, want = sigmoid(x), _sigmoid_split_by_sign(x)
+        assert got.dtype == want.dtype == dtype
+        nan = np.isnan(want)
+        assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], want[~nan])
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got[0, 2] == 1.0 and got[0, 3] == 0.0  # +inf and -inf
 
 
 class TestSoftmax:

@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +12,10 @@ from hypothesis import strategies as st
 
 from groundedqa import datamodel, featurestore, qamodel, synthdata
 from groundedqa.binfmt import FormatError
-from groundedqa.numkit import finite_diff_grad_check
+from groundedqa.numkit import NumericsError, finite_diff_grad_check
 from groundedqa.qamodel import (LEARNED, UNIFORM, ModelConfig, attention_step,
                                 encode, init_params, lstm_step,
-                                load_checkpoint, param_shapes,
-                                pointing_candidate_score, predict_mc,
+                                load_checkpoint, param_shapes, predict_mc,
                                 save_checkpoint, telling_answer_loglik,
                                 zero_grads)
 
@@ -326,14 +326,21 @@ class TestTelling:
 
 
 class TestPointing:
+    """The pointing head that training and prediction share."""
+
+    @staticmethod
+    def _scores(params, h, regions):
+        _, scores = qamodel._pointing_head(params, np.array([regions]),
+                                           np.array([h]))
+        return scores[0]
+
     def test_zero_hidden_zero_scores(self):
         vocab = vocab20()
         cfg = ModelConfig.micro(vocab.size)
         params = init_params(cfg, 3)
-        state = qamodel.EncoderState(h=np.zeros(cfg.hidden),
-                                     c=np.zeros(cfg.hidden), trace=[])
-        assert pointing_candidate_score(state, np.ones(cfg.feat_dim),
-                                        params) == 0.0
+        scores = self._scores(params, np.zeros(cfg.hidden),
+                              np.ones((4, cfg.feat_dim)))
+        assert np.array_equal(scores, np.zeros(4))
 
     def test_linearity_in_region(self):
         vocab = vocab20()
@@ -341,21 +348,20 @@ class TestPointing:
         params = init_params(cfg, 3)
         params["b_ptr"] = np.zeros_like(params["b_ptr"])
         rng = np.random.default_rng(2)
-        state = qamodel.EncoderState(h=rng.normal(size=cfg.hidden),
-                                     c=np.zeros(cfg.hidden), trace=[])
+        h = rng.normal(size=cfg.hidden)
         f = rng.normal(size=cfg.feat_dim)
-        s1 = pointing_candidate_score(state, f, params)
-        s2 = pointing_candidate_score(state, 2.0 * f, params)
+        s1, s2 = self._scores(params, h, [f, 2.0 * f, f, f])[:2]
         assert abs(s2 - 2.0 * s1) < 1e-9 * max(1.0, abs(s1))
 
     def test_hand_arithmetic(self):
         params = {"W_ptr": np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
                   "b_ptr": np.array([1.0, -1.0])}
-        state = qamodel.EncoderState(h=np.array([1.0, 2.0]),
-                                     c=np.zeros(2), trace=[])
         # W f = [6, 3]; + b = [7, 2]; dot h = 7 + 4 = 11
-        assert pointing_candidate_score(state, np.array([2.0, 3.0, 4.0]),
-                                        params) == 11.0
+        scores = self._scores(params, np.array([1.0, 2.0]),
+                              [[2.0, 3.0, 4.0], [0.0, 0.0, 0.0],
+                               [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        # b dot h = -1, then [1, 0] and [0, 1] add h's 1 and 2
+        assert scores.tolist() == [11.0, -1.0, 0.0, 1.0]
 
 
 class TestPredictMc:
@@ -389,6 +395,168 @@ class TestPredictMc:
         scores = [0.3, -0.1, 0.25, 0.05]
         shifted = [s + 7.7 for s in scores]
         assert int(np.argmax(scores)) == int(np.argmax(shifted))
+
+
+def _mixed_world(n=11):
+    """
+    `n` records at the mid shape, each on its own image: every third one
+    pointing, the rest telling, with questions of 1 to 9 tokens and
+    candidate answers of 1 to 3.
+    """
+    vocab, cfg, _ = _world("mid")
+    dims = dict(global_dim=cfg.feat_dim, conv_cells=cfg.conv_cells,
+                conv_channels=cfg.conv_channels)
+    words = ["what", "color", "is", "it", "?", "red", "which", "one", "blue"]
+    colors = ["red", "green", "blue", "yellow"]
+    records, packs = [], {}
+    for k in range(n):
+        image_id = f"im{k}"
+        question = " ".join(words[:1 + (4 * k) % len(words)])
+        if k % 3 == 2:
+            rec = replace(tiny_pointing_record(), qa_id=f"p{k}",
+                          image_id=image_id, question=question)
+            regions = [g.grounding_id for g in rec.groundings]
+        else:
+            answer, *distractors = [
+                " ".join([colors[(k + j) % 4]] * (1 + (k + j) % 3))
+                for j in range(4)]
+            rec = replace(tiny_telling_record(), qa_id=f"t{k}",
+                          image_id=image_id, question=question,
+                          answer=answer, distractors=distractors)
+            regions = []
+        records.append(rec)
+        packs[image_id] = featurestore.synth_feature_pack(
+            image_id, seed=k, region_ids=regions, **dims)
+    return vocab, cfg, records, packs
+
+
+class _CountingPacks:
+    """
+    Image id -> a new copy of its pack at each lookup, like a loader that
+    reads files. A pack is live while any of its arrays is; `live()`
+    counts them and keeps the peak.
+    """
+
+    def __init__(self, packs):
+        self.packs, self.refs, self.peak = packs, [], 0
+
+    def live(self):
+        n = sum(any(ref() is not None for ref in refs) for refs in self.refs)
+        self.peak = max(self.peak, n)
+        return n
+
+    def __getitem__(self, image_id):
+        src = self.packs[image_id]
+        pack = featurestore.FeaturePack(
+            image_id, src.global_feature.copy(), src.conv_map.copy(),
+            {rid: f.copy() for rid, f in src.region_features.items()})
+        self.refs.append([weakref.ref(a) for a in (
+            pack.global_feature, pack.conv_map,
+            *pack.region_features.values())])
+        self.live()
+        return pack
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_matches_one_record_at_a_time_and_the_reference(self, mode):
+        vocab, cfg, records, packs = _mixed_world()
+        assert qamodel.PASS_RECORDS < len(records) < 2 * qamodel.PASS_RECORDS
+        cfg = replace(cfg, mode=mode)
+        params = init_params(cfg, 7)
+        outcomes = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        assert len(outcomes) == len(records)
+        for rec, (chosen, scores) in zip(records, outcomes):
+            pack = packs[rec.image_id]
+            one_chosen, one_scores = predict_mc(rec, pack, params, vocab,
+                                                cfg)
+            assert chosen == one_chosen, rec.qa_id
+            assert scores == pytest.approx(one_scores, rel=1e-12), rec.qa_id
+            if rec.kind != "telling":
+                continue
+            # minus (answer tokens + 1) times the reference's mean
+            # cross-entropy
+            q_tokens = vocab.encode(datamodel.tokenize(rec.question))
+            cands, _ = datamodel.mc_candidates(rec)
+            for cand, score in zip(cands, scores):
+                a_tokens = vocab.encode(datamodel.tokenize(cand))
+                ref, _ = lstm_reference.telling_loss_and_grads(
+                    lstm_reference.split_gates(params), cfg, pack, q_tokens,
+                    a_tokens, mode)
+                expected = -(len(a_tokens) + 1) * ref
+                assert abs(score - expected) <= 1e-9 * abs(expected)
+
+    @pytest.mark.parametrize("victim", [4, 5, 9])
+    def test_a_failed_record_fails_alone(self, victim):
+        vocab, cfg, records, packs = _mixed_world()
+        params = init_params(cfg, 7)
+        clean = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        image_id = records[victim].image_id
+        packs = dict(packs)
+        if victim == 9:  # its pack is gone
+            del packs[image_id]
+        else:  # a non-finite feature (a pack read from a file is finite)
+            packs[image_id] = replace(
+                packs[image_id], global_feature=np.full(cfg.feat_dim, np.nan))
+        outcomes = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        expected = KeyError if victim == 9 else NumericsError
+        assert isinstance(outcomes[victim], expected)
+        for i, (got, want) in enumerate(zip(outcomes, clean)):
+            if i != victim:
+                assert got == want, records[i].qa_id
+
+    def test_a_failed_pass_fails_each_of_its_records(self, monkeypatch):
+        vocab, cfg, records, packs = _mixed_world()
+        params = init_params(cfg, 7)
+        clean = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        real, calls = qamodel._forward, []
+
+        def fail_the_first_pass(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("no room")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qamodel, "_forward", fail_the_first_pass)
+        outcomes = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        first = qamodel.PASS_RECORDS
+        assert all(isinstance(o, MemoryError) for o in outcomes[:first])
+        assert outcomes[first:] == clean[first:]
+
+    def test_empty_candidate_fails_its_record(self):
+        vocab, cfg, records, packs = _mixed_world()
+        params = init_params(cfg, 7)
+        records = list(records)
+        records[1] = replace(records[1], distractors=["green", " ", "blue"])
+        outcomes = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        assert isinstance(outcomes[1], ValueError)
+        assert "empty answer sequence in t1" in str(outcomes[1])
+        assert all(isinstance(o, tuple) for i, o in enumerate(outcomes)
+                   if i != 1)
+
+    def test_holds_at_most_a_pass_of_packs(self, micro_world, monkeypatch):
+        """Prediction and training, over two passes each."""
+        corpus, packs, vocab, cfg, params = micro_world
+        records = corpus.records
+        assert len(records) == 2 * qamodel.PASS_RECORDS
+        real = qamodel._forward
+        loader = None
+
+        def counting_forward(*args, **kwargs):
+            loader.live()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qamodel, "_forward", counting_forward)
+        loader = _CountingPacks(packs)
+        qamodel.predict_batch(records, loader, params, vocab, cfg)
+        assert len(loader.refs) == len(records)  # one lookup per image
+        # each pack is dropped once its features are copied into the pass
+        assert loader.peak <= 2
+        loader = _CountingPacks(packs)
+        qamodel.train(records, loader, vocab, params, cfg,
+                      qamodel.TrainConfig(epochs=1, batch_size=len(records)))
+        assert loader.peak == qamodel.PASS_RECORDS
+        assert loader.live() == 0
 
 
 class TestModes:
