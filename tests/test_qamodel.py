@@ -360,7 +360,8 @@ class TestPointing:
         scores = self._scores(params, np.array([1.0, 2.0]),
                               [[2.0, 3.0, 4.0], [0.0, 0.0, 0.0],
                                [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        # b dot h = -1, then [1, 0] and [0, 1] add h's 1 and 2
+        # b dot h = -1; the last two have W f = [1, 0] and [0, 1], which
+        # add h's 1 and 2 to it
         assert scores.tolist() == [11.0, -1.0, 0.0, 1.0]
 
 
