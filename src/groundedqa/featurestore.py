@@ -14,7 +14,9 @@ directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
 run reads only the packs of the records it selects, through `PackFiles`,
 which reads a pack each time it is looked up and keeps none. A run checks
 each pack once when it opens, then a pass of records reads its own packs
-when the pass starts and drops them when it ends.
+when the pass starts and drops them when it ends. Training keeps copies
+of a record's features instead, and reads its pack once, when they are
+much smaller than the pack (a micro model on full-scale packs).
 """
 
 import os

@@ -23,7 +23,10 @@ GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
 It keeps no (T, B, cells, d_a) attention cache: each step's attention tanh
 is recomputed from the projection and that step's hidden state. `train`
 runs one pass per PASS_RECORDS records of a batch, so memory does not grow
-with the batch.
+with the batch. It reads a record's pack again at every epoch, unless
+PASS_RECORDS copies of the record's features fit in the room of its pack,
+as at micro scale on full-scale packs: then it reads the pack once and
+keeps the copies.
 
 Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too:
 one encoder pass over their images and questions, then each telling
@@ -59,7 +62,7 @@ as one array.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -434,27 +437,6 @@ def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
                                  [list(answer_tokens)])[0])
 
 
-@dataclass
-class _Query:
-    """A record to score, with its token ids encoded."""
-    slot: int  # its position among the records of the pass
-    image_id: str
-    q: list  # question token ids
-    answers: list = None  # candidate answer token ids of a telling record
-    regions: list = None  # candidate region ids of a pointing record
-
-    @classmethod
-    def of(cls, slot, record, vocab) -> "_Query":
-        cands, _ = datamodel.mc_candidates(record)
-        q = vocab.encode(datamodel.tokenize(record.question))
-        if record.kind != "telling":
-            return cls(slot, record.image_id, q, regions=cands)
-        answers = [vocab.encode(datamodel.tokenize(c)) for c in cands]
-        if not all(answers):
-            raise ValueError(f"empty answer sequence in {record.qa_id}")
-        return cls(slot, record.image_id, q, answers=answers)
-
-
 def predict_batch(records, packs, params, vocab, cfg) -> list:
     """
     Score each record's 4 candidates, in their deterministic presentation
@@ -482,58 +464,59 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
     by_image = {}
     for slot, rec in enumerate(records):
         try:
-            query = _Query.of(slot, rec, vocab)
+            ex = _Example.to_score(rec, vocab)
         except Exception as e:  # fails this record only
             outcomes[slot] = e
         else:
-            by_image.setdefault(rec.image_id, []).append(query)
+            by_image.setdefault(rec.image_id, []).append((slot, ex))
     dtype = params["W_img"].dtype
     fdtype, n = _feature_dtype(dtype), len(records)
     feat = np.empty((n, cfg.feat_dim), fdtype)
     conv = np.empty((n, cfg.conv_cells, cfg.conv_channels), fdtype)
     F = np.empty((n, 4, cfg.feat_dim), fdtype)
-    rows, pack, held = [], None, None  # rows: the queries read, in order
-    for query in (q for group in by_image.values() for q in group):
+    rows, pack, held = [], None, None  # rows: the (slot, example)s read
+    for slot, ex in (row for group in by_image.values() for row in group):
         b = len(rows)
         try:
-            if held != query.image_id:
-                pack, held = packs[query.image_id], query.image_id
+            if held != ex.record.image_id:
+                held = ex.record.image_id
+                pack = packs[held]
             feat[b], conv[b] = slice_pack(pack, cfg, dtype)
-            for k, rid in enumerate(query.regions or ()):
+            for k, rid in enumerate(ex.cands or ()):
                 F[b, k] = region_feature(pack, rid, cfg, dtype)
         except Exception as e:  # fails this record only
-            outcomes[query.slot] = e
+            outcomes[slot] = e
         else:
-            rows.append(query)
+            rows.append((slot, ex))
     del pack
     if not rows:
         return outcomes
     b = len(rows)
     try:
-        run = _forward(params, conv[:b], *_pad([q.q for q in rows]),
+        run = _forward(params, conv[:b], *_pad([ex.q for _, ex in rows]),
                        cfg.mode, feat=feat[:b])
         # each record's state after its own last step
         last = (run.lengths + 1, np.arange(b))
         h, c = run.H[last], run.C[last]
         scores = np.empty((b, 4), h.dtype)
-        point = [i for i, q in enumerate(rows) if q.answers is None]
+        point = [i for i, (_, ex) in enumerate(rows) if ex.answers is None]
         if point:
             _, scores[point] = _pointing_head(params, F[point], h[point])
-        for i, q in enumerate(rows):
-            if q.answers is not None:
+        for i, (_, ex) in enumerate(rows):
+            if ex.answers is not None:
                 proj = None if run.proj is None else run.proj[i:i + 1]
                 scores[i] = _answer_logliks(params, cfg.mode, conv[i:i + 1],
-                                            proj, h[i], c[i], q.answers)
+                                            proj, h[i], c[i], ex.answers)
     except Exception as e:  # fails every record of the pass
-        for q in rows:
-            outcomes[q.slot] = e
+        for slot, _ in rows:
+            outcomes[slot] = e
         return outcomes
-    for q, row in zip(rows, scores):
+    for (slot, _), row in zip(rows, scores):
         row = [float(s) for s in row]
         if np.isfinite(row).all():
-            outcomes[q.slot] = int(np.argmax(row)), row  # first maximum
+            outcomes[slot] = int(np.argmax(row)), row  # first maximum
         else:
-            outcomes[q.slot] = NumericsError(
+            outcomes[slot] = NumericsError(
                 f"non-finite candidate scores {row}")
     return outcomes
 
@@ -761,6 +744,8 @@ class _Example:
     a: list = None  # answer token ids of a telling record
     cands: list = None  # candidate region ids of a pointing record
     target: int = 0
+    answers: list = None  # candidate answer token ids, to score a telling one
+    kept: _Item = None  # the record's inputs, when `item` keeps them
 
     @classmethod
     def of(cls, record, vocab) -> "_Example":
@@ -773,13 +758,42 @@ class _Example:
         cands, target = datamodel.mc_candidates(record)
         return cls(record, q, cands=cands, target=target)
 
-    def item(self, pack, cfg, dtype) -> _Item:
+    @classmethod
+    def to_score(cls, record, vocab) -> "_Example":
+        """`of`, with a telling record's candidate answers encoded too."""
+        ex = cls.of(record, vocab)
+        if ex.a is not None:
+            cands, _ = datamodel.mc_candidates(record)
+            ex.answers = [vocab.encode(datamodel.tokenize(c)) for c in cands]
+            if not all(ex.answers):
+                raise ValueError(f"empty answer sequence in {record.qa_id}")
+        return ex
+
+    def item(self, packs, cfg, dtype) -> _Item:
+        """
+        The record's inputs, read from its pack in `packs`. When a pass of
+        records' copies of them fit in the room of the pack, as at micro
+        scale on full-scale packs, the copies are kept and later calls
+        read nothing.
+        """
+        if self.kept is not None:
+            return self.kept
+        pack = packs[self.record.image_id]
         feat, conv = slice_pack(pack, cfg, dtype)
         if self.a is not None:
-            return _Item(feat, conv, self.q, a=self.a)
-        cands = np.stack([region_feature(pack, c, cfg, dtype)
-                          for c in self.cands])
-        return _Item(feat, conv, self.q, cands=cands, target=self.target)
+            item = _Item(feat, conv, self.q, a=self.a)
+        else:
+            cands = np.stack([region_feature(pack, c, cfg, dtype)
+                              for c in self.cands])
+            item = _Item(feat, conv, self.q, cands=cands, target=self.target)
+        size = feat.nbytes + conv.nbytes + (0 if item.cands is None
+                                            else item.cands.nbytes)
+        room = (pack.global_feature.nbytes + pack.conv_map.nbytes
+                + sum(f.nbytes for f in pack.region_features.values()))
+        if PASS_RECORDS * size <= room:
+            self.kept = item = replace(item, feat=feat.copy(),
+                                       conv=conv.copy())
+        return item
 
 
 def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
@@ -806,7 +820,7 @@ def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     for lo in range(0, len(examples), PASS_RECORDS):
         # no name holds the items, so a pass's packs go before the next's
         losses.append(_loss_and_grads(
-            params, cfg, [ex.item(packs[ex.record.image_id], cfg, dtype)
+            params, cfg, [ex.item(packs, cfg, dtype)
                           for ex in examples[lo:lo + PASS_RECORDS]],
             grads, add=lo > 0))
     return np.concatenate(losses)
@@ -853,7 +867,9 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     per-epoch mean loss curve. The input params are copied into that vector
     once and never modified. The vector, its gradient and both Adam moments
     take the input params' dtype; losses are summed as Python floats. Each
-    record is encoded once, and each batch runs `batch_loss_and_grads`.
+    record is encoded once, and each batch runs `batch_loss_and_grads`,
+    which reads a record's pack at every epoch unless copies of its
+    features are much smaller than the pack (`_Example.item`).
     Raises NumericsError on a non-finite loss, or if a step left a
     non-finite parameter.
     """

@@ -781,6 +781,36 @@ class TestTrain:
                 err = np.max(np.abs(trained[name] - expected[name]))
                 assert err <= 1e-9, (batch_size, name, err)
 
+    def test_keeps_features_much_smaller_than_their_packs(self, micro_world):
+        """
+        A micro model on full-scale packs reads each pack once and keeps
+        copies of its features; it trains bitwise as on packs cut to its
+        dimensions, which it reads at every epoch.
+        """
+        corpus, _, vocab, cfg, params = micro_world
+        _, full = synthdata.synth_corpus(8, 8, seed=5)
+        small = {image_id: featurestore.FeaturePack(
+            image_id, p.global_feature[:cfg.feat_dim].copy(),
+            p.conv_map[:cfg.conv_cells, :cfg.conv_channels].copy(),
+            {rid: f[:cfg.feat_dim].copy()
+             for rid, f in p.region_features.items()})
+            for image_id, p in full.items()}
+        tc = qamodel.TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
+        runs = {}
+        for name, packs in (("full", full), ("small", small)):
+            loader = _CountingPacks(packs)
+            runs[name] = qamodel.train(corpus.records, loader, vocab, params,
+                                       cfg, tc)
+            runs[name + " reads"] = len(loader.refs)
+            assert loader.live() == 0
+        assert runs["full reads"] == len(corpus.records)
+        assert runs["small reads"] == 3 * len(corpus.records)
+        (trained, curve), (expected, expected_curve) = runs["full"], \
+            runs["small"]
+        assert curve == expected_curve
+        for name in expected:
+            assert np.array_equal(trained[name], expected[name]), name
+
     def test_returns_views_of_a_new_vector(self, micro_world):
         corpus, packs, vocab, cfg, params = micro_world
         tc = qamodel.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-2)
