@@ -13,10 +13,10 @@ them (a no-op for a float32 model). A features
 directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
 run reads only the packs of the records it selects, through `PackFiles`,
 which reads a pack each time it is looked up and keeps none. A run checks
-each pack once when it opens, then a pass of records reads its own packs
-when the pass starts and drops them when it ends. Training keeps copies
-of a record's features instead, and reads its pack once, when they are
-much smaller than the pack (a micro model on full-scale packs).
+each pack once when it opens; then every pass of records, in training and
+in prediction, copies its records' features and drops each pack. A record
+keeps its copies, and its pack is read once, when a pass's worth of them
+fit in the room of the pack (a micro model on full-scale packs).
 """
 
 import os
@@ -34,6 +34,7 @@ VERSION = 1
 GLOBAL_DIM = 4096
 CONV_CELLS = 196
 CONV_CHANNELS = 512
+PLANTED_CLASSES = 4  # a planted class code clears the blocks of this many
 
 
 @dataclass
@@ -122,8 +123,7 @@ def synth_feature_pack(image_id: str, seed: int, planted_signal=None,
                        region_ids=(), correct_region=None,
                        global_dim: int = GLOBAL_DIM,
                        conv_cells: int = CONV_CELLS,
-                       conv_channels: int = CONV_CHANNELS,
-                       n_classes: int = 4) -> FeaturePack:
+                       conv_channels: int = CONV_CHANNELS) -> FeaturePack:
     """
     Deterministic pseudo-random pack. With planted_signal set to a class
     index, a leading block of the global feature carries a strong one-hot
@@ -138,7 +138,7 @@ def synth_feature_pack(image_id: str, seed: int, planted_signal=None,
     block = 2  # scalars per class in the planted code
     if planted_signal is not None:
         lo = planted_signal * block
-        global_feature[:n_classes * block] = 0.0
+        global_feature[:PLANTED_CLASSES * block] = 0.0
         global_feature[lo:lo + block] = 5.0
     regions = {}
     for rid in region_ids:

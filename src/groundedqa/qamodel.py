@@ -23,26 +23,25 @@ GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
 It keeps no (T, B, cells, d_a) attention cache: each step's attention tanh
 is recomputed from the projection and that step's hidden state. `train`
 runs one pass per PASS_RECORDS records of a batch, so memory does not grow
-with the batch. It reads a record's pack again at every epoch, unless
-PASS_RECORDS copies of the record's features fit in the room of its pack,
-as at micro scale on full-scale packs: then it reads the pack once and
-keeps the copies.
+with the batch. Every training and prediction pass gets its records'
+features from `_gather`, which copies them into the pass's stacked arrays
+and drops each pack, so a run holds no more packs than it is using. A
+record keeps its copies when PASS_RECORDS of them fit in the room of its
+pack (micro scale on full-scale packs), and training reads that pack once.
 
 Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too:
 one encoder pass over their images and questions, then each telling
 record's 4 candidate answers are decoded in one 4-row pass from its final
 state, whose rows share the record's conv map and attention projection as
 a (1, cells, .) view, and one pointing head scores every pointing record's
-candidates. A pass copies each record's features into its stacked arrays
-and drops the pack, so a run holds no more packs than it is using.
-`predict_mc`, `encode`, `telling_answer_loglik`, the single-record losses
-and `attention_trace` run at B = 1.
+candidates. `predict_mc`, `encode`, `telling_answer_loglik`, the
+single-record losses and `attention_trace` run at B = 1.
 
 Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
 run float32; gradient checks and the reference comparisons run float64 or
 wider. All tensors of one params dict share a dtype, and pack features are
-cast to it as a pass reads them (`slice_pack`, `region_feature`), so a
-float64 pack never widens a float32 pass.
+cast to it as a pass reads them (`slice_pack`, `_gather`), so a float64
+pack never widens a float32 pass.
 
 Checkpoint v5, a `binfmt` container: magic b"V7WM", u16 version 5, the
 `_CFG_FIELDS` as i64, the attention mode and then the tensor dtype (<f4 or
@@ -62,7 +61,7 @@ as one array.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,20 +355,13 @@ def _feature_dtype(dtype) -> np.dtype:
     return np.dtype(np.float64 if np.dtype(dtype).itemsize > 8 else dtype)
 
 
-def _features(arr, dtype):
-    """`arr` in a pass's feature dtype; no copy when it already has it."""
-    return arr.astype(_feature_dtype(dtype), copy=False)
-
-
 def slice_pack(pack, cfg: ModelConfig, dtype=np.float64):
-    """A (possibly full-scale) pack at this config's dimensions, in `dtype`."""
-    return (_features(pack.global_feature[:cfg.feat_dim], dtype),
-            _features(pack.conv_map[:cfg.conv_cells, :cfg.conv_channels],
-                      dtype))
-
-
-def region_feature(pack, grounding_id, cfg: ModelConfig, dtype):
-    return _features(pack.region_features[grounding_id][:cfg.feat_dim], dtype)
+    """A (possibly full-scale) pack at this config's dimensions, in the
+    feature dtype of a pass in `dtype`; no copy when it already has it."""
+    fdtype = _feature_dtype(dtype)
+    return (pack.global_feature[:cfg.feat_dim].astype(fdtype, copy=False),
+            pack.conv_map[:cfg.conv_cells, :cfg.conv_channels].astype(
+                fdtype, copy=False))
 
 
 def encode(pack, question_tokens, params, cfg) -> EncoderState:
@@ -455,46 +447,33 @@ def predict_batch(records, packs, params, vocab, cfg) -> list:
 
 def _predict_pass(records, packs, params, vocab, cfg) -> list:
     """
-    One encoder pass over the records' images and questions, then one
-    decode per telling record and one pointing head over the rest. Each
-    image's pack is looked up once and dropped as soon as its records'
-    features are copied into the pass's stacked arrays.
+    One encoder pass over the records' images and questions (`_gather`
+    reads their features), then one decode per telling record and one
+    pointing head over the rest.
     """
     outcomes = [None] * len(records)
-    by_image = {}
+    slots, examples = [], []
     for slot, rec in enumerate(records):
         try:
-            ex = _Example.to_score(rec, vocab)
+            examples.append(_Example.to_score(rec, vocab))
         except Exception as e:  # fails this record only
             outcomes[slot] = e
         else:
-            by_image.setdefault(rec.image_id, []).append((slot, ex))
-    dtype = params["W_img"].dtype
-    fdtype, n = _feature_dtype(dtype), len(records)
-    feat = np.empty((n, cfg.feat_dim), fdtype)
-    conv = np.empty((n, cfg.conv_cells, cfg.conv_channels), fdtype)
-    F = np.empty((n, 4, cfg.feat_dim), fdtype)
-    rows, pack, held = [], None, None  # rows: the (slot, example)s read
-    for slot, ex in (row for group in by_image.values() for row in group):
-        b = len(rows)
-        try:
-            if held != ex.record.image_id:
-                held = ex.record.image_id
-                pack = packs[held]
-            feat[b], conv[b] = slice_pack(pack, cfg, dtype)
-            for k, rid in enumerate(ex.cands or ()):
-                F[b, k] = region_feature(pack, rid, cfg, dtype)
-        except Exception as e:  # fails this record only
-            outcomes[slot] = e
-        else:
-            rows.append((slot, ex))
-    del pack
-    if not rows:
+            slots.append(slot)
+    feat, conv, F, failed = _gather(examples, packs, cfg,
+                                    params["W_img"].dtype)
+    for b, e in failed.items():
+        outcomes[slots[b]] = e
+    read = [b for b in range(len(examples)) if b not in failed]
+    if not read:
         return outcomes
+    if failed:
+        feat, conv, F = feat[read], conv[read], F[read]
+    rows = [(slots[b], examples[b]) for b in read]  # (slot, example)s read
     b = len(rows)
     try:
-        run = _forward(params, conv[:b], *_pad([ex.q for _, ex in rows]),
-                       cfg.mode, feat=feat[:b])
+        run = _forward(params, conv, *_pad([ex.q for _, ex in rows]),
+                       cfg.mode, feat=feat)
         # each record's state after its own last step
         last = (run.lengths + 1, np.arange(b))
         h, c = run.H[last], run.C[last]
@@ -639,39 +618,30 @@ def _backward(params, run, dH, mode, grads, add):
             grads[name].fill(0)
 
 
-@dataclass
-class _Item:
-    """One record's inputs to a pass, its features in the pass's dtype."""
-    feat: np.ndarray
-    conv: np.ndarray
-    q: list  # question token ids
-    a: list = None  # answer token ids of a telling record
-    cands: np.ndarray = None  # (4, feat_dim) candidates of a pointing record
-    target: int = 0  # index of the correct candidate
-
-
-def _loss_and_grads(params, cfg, items, grads=None, add=True):
+def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
+                    add=True):
     """
-    One pass over `items` (telling and pointing records may mix). Returns
-    their losses in the params' dtype. With `grads`, writes the sum of
-    their gradients into it, or adds it when `add`.
+    One pass over `examples` (telling and pointing records may mix) with
+    their features as `_gather` returns them. Returns their losses in the
+    params' dtype. With `grads`, writes the sum of their gradients into it,
+    or adds it when `add`.
     """
-    ids, lengths = _pad([it.q + (it.a or []) for it in items])
-    run = _forward(params, np.stack([it.conv for it in items]), ids, lengths,
-                   cfg.mode, feat=np.stack([it.feat for it in items]))
+    ids, lengths = _pad([ex.q + (ex.a or []) for ex in examples])
+    run = _forward(params, conv, ids, lengths, cfg.mode, feat=feat)
     Hs = run.H[1:]  # Hs[t, b] is the state after step t of record b
-    losses = np.empty(len(items), Hs.dtype)
+    losses = np.empty(len(examples), Hs.dtype)
     dH = None if grads is None else np.zeros_like(Hs)
-    tell = [b for b, it in enumerate(items) if it.a is not None]
-    point = [b for b, it in enumerate(items) if it.a is None]
+    tell = [b for b, ex in enumerate(examples) if ex.a is not None]
+    point = [b for b, ex in enumerate(examples) if ex.a is None]
     if tell:
         # the states after the question and after each answer token predict
         # the answer tokens, then END; each record's loss is their mean
-        counts = [len(items[b].a) + 1 for b in tell]
-        steps = np.concatenate([np.arange(len(items[b].q), len(items[b].q) + k)
+        counts = [len(examples[b].a) + 1 for b in tell]
+        steps = np.concatenate([np.arange(len(examples[b].q),
+                                          len(examples[b].q) + k)
                                 for b, k in zip(tell, counts)])
         rows = np.repeat(tell, counts)
-        targets = np.concatenate([items[b].a + [END_INDEX] for b in tell])
+        targets = np.concatenate([examples[b].a + [END_INDEX] for b in tell])
         hs = Hs[steps, rows]
         probs, logp = _answer_head(params, hs, targets)
         for b, k, lo in zip(tell, counts, np.cumsum([0] + counts)):
@@ -691,10 +661,10 @@ def _loss_and_grads(params, cfg, items, grads=None, add=True):
         # each record's state after its own last step scores its candidates
         last = lengths[point]
         h = Hs[last, point]
-        F = np.stack([items[b].cands for b in point])  # (P, 4, feat_dim)
+        F = F[point]  # (P, 4, feat_dim)
         transformed, scores = _pointing_head(params, F, h)
         probs = softmax_rows(scores)
-        targets = [items[b].target for b in point]
+        targets = [examples[b].target for b in point]
         picked = probs[np.arange(len(point)), targets]
         losses[point] = -np.log(np.maximum(picked, 1e-12))
         if grads is not None:
@@ -716,24 +686,29 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
     """
     Mean cross-entropy over the answer-token predictions (answer tokens plus
     END). With `grads`, adds the analytic gradient of every parameter to it.
+    Kept for the benchmark's .telling loss+grad metric, which traces it;
+    the ROADMAP's "one scoring path" item deletes it after that metric.
     """
     if not a_tokens:
         raise ValueError("empty answer sequence")
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    item = _Item(feat, conv, list(q_tokens), a=list(a_tokens))
-    return _loss_and_grads(params, cfg, [item], grads)[0]
+    ex = _Example(None, list(q_tokens), a=list(a_tokens))
+    return _loss_and_grads(params, cfg, [ex], feat[None], conv[None], None,
+                           grads)[0]
 
 
 def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
                             target, grads=None):
     """
     Cross-entropy over the softmax of the 4 candidate scores. With `grads`,
-    adds the analytic gradient of every parameter to it.
+    adds the analytic gradient of every parameter to it. Kept for the
+    benchmark's .pointing loss+grad metric, which traces it; the ROADMAP's
+    "one scoring path" item deletes it after that metric.
     """
     feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    item = _Item(feat, conv, list(q_tokens), cands=np.stack(cand_features),
-                 target=target)
-    return _loss_and_grads(params, cfg, [item], grads)[0]
+    ex = _Example(None, list(q_tokens), target=target)
+    return _loss_and_grads(params, cfg, [ex], feat[None], conv[None],
+                           np.stack(cand_features)[None], grads)[0]
 
 
 @dataclass
@@ -745,7 +720,7 @@ class _Example:
     cands: list = None  # candidate region ids of a pointing record
     target: int = 0
     answers: list = None  # candidate answer token ids, to score a telling one
-    kept: _Item = None  # the record's inputs, when `item` keeps them
+    kept: tuple = None  # copies of its rows, when `_gather` keeps them
 
     @classmethod
     def of(cls, record, vocab) -> "_Example":
@@ -769,60 +744,79 @@ class _Example:
                 raise ValueError(f"empty answer sequence in {record.qa_id}")
         return ex
 
-    def item(self, packs, cfg, dtype) -> _Item:
-        """
-        The record's inputs, read from its pack in `packs`. When a pass of
-        records' copies of them fit in the room of the pack, as at micro
-        scale on full-scale packs, the copies are kept and later calls
-        read nothing.
-        """
-        if self.kept is not None:
-            return self.kept
-        pack = packs[self.record.image_id]
-        feat, conv = slice_pack(pack, cfg, dtype)
-        if self.a is not None:
-            item = _Item(feat, conv, self.q, a=self.a)
+
+def _gather(examples, packs, cfg, dtype):
+    """
+    A pass's inputs (feat (B, feat_dim), conv (B, cells, channels), F (B, 4,
+    feat_dim), failed) as `slice_pack` casts them: row b holds examples[b]'s
+    features (F's only if it points). Each image's pack is looked up once
+    and dropped once its rows are copied. `failed` maps the row of each
+    example that could not be read, left unset, to its exception. An
+    example keeps copies of its rows when PASS_RECORDS of them fit in the
+    room of its pack, and later passes read nothing for it.
+    """
+    fdtype, n = _feature_dtype(dtype), len(examples)
+    feat = np.empty((n, cfg.feat_dim), fdtype)
+    conv = np.empty((n, cfg.conv_cells, cfg.conv_channels), fdtype)
+    F = np.empty((n, 4, cfg.feat_dim), fdtype)
+    failed, by_image = {}, {}
+    for b, ex in enumerate(examples):
+        if ex.kept is None:
+            by_image.setdefault(ex.record.image_id, []).append(b)
         else:
-            cands = np.stack([region_feature(pack, c, cfg, dtype)
-                              for c in self.cands])
-            item = _Item(feat, conv, self.q, cands=cands, target=self.target)
-        size = feat.nbytes + conv.nbytes + (0 if item.cands is None
-                                            else item.cands.nbytes)
+            for arr, row in zip((feat, conv, F), ex.kept):
+                arr[b] = row
+    for image_id, rows in by_image.items():
+        try:
+            pack = packs[image_id]
+        except Exception as e:  # fails each example on this image
+            failed.update(dict.fromkeys(rows, e))
+            continue
         room = (pack.global_feature.nbytes + pack.conv_map.nbytes
                 + sum(f.nbytes for f in pack.region_features.values()))
-        if PASS_RECORDS * size <= room:
-            self.kept = item = replace(item, feat=feat.copy(),
-                                       conv=conv.copy())
-        return item
+        for b in rows:
+            ex = examples[b]
+            try:
+                feat[b], conv[b] = slice_pack(pack, cfg, dtype)
+                for k, rid in enumerate(ex.cands or ()):
+                    F[b, k] = pack.region_features[rid][:cfg.feat_dim]
+            except Exception as e:  # fails this example only
+                failed[b] = e
+                continue
+            copied = (feat[b], conv[b]) + ((F[b],) if ex.cands else ())
+            if PASS_RECORDS * sum(r.nbytes for r in copied) <= room:
+                ex.kept = tuple(r.copy() for r in copied)
+        del pack
+    return feat, conv, F, failed
 
 
 def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
     """The record's loss; with `grads`, its gradients are added to it."""
-    ex = _Example.of(record, vocab)
-    if ex.a is not None:
-        return telling_loss_and_grads(params, cfg, pack, ex.q, ex.a, grads)
-    dtype = params["W_img"].dtype
-    feats = [region_feature(pack, c, cfg, dtype) for c in ex.cands]
-    return pointing_loss_and_grads(params, cfg, pack, ex.q, feats, ex.target,
-                                   grads)
+    examples = [_Example.of(record, vocab)]
+    *inputs, failed = _gather(examples, {record.image_id: pack}, cfg,
+                              params["W_img"].dtype)
+    if failed:
+        raise failed[0]
+    return _loss_and_grads(params, cfg, examples, *inputs, grads)[0]
 
 
 def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     """
     The losses of `records` (QARecords, or the examples `train` encodes
     once per run), in order and in the params' dtype. Sets `grads` to the
-    sum of their gradients, over one pass per PASS_RECORDS records.
+    sum of their gradients, over one pass per PASS_RECORDS records. Raises
+    the first failure to read a record's features, in input order.
     """
     examples = [r if isinstance(r, _Example) else _Example.of(r, vocab)
                 for r in records]
-    dtype = params["W_img"].dtype
     losses = []
     for lo in range(0, len(examples), PASS_RECORDS):
-        # no name holds the items, so a pass's packs go before the next's
-        losses.append(_loss_and_grads(
-            params, cfg, [ex.item(packs, cfg, dtype)
-                          for ex in examples[lo:lo + PASS_RECORDS]],
-            grads, add=lo > 0))
+        chunk = examples[lo:lo + PASS_RECORDS]
+        *inputs, failed = _gather(chunk, packs, cfg, params["W_img"].dtype)
+        if failed:
+            raise failed[min(failed)]
+        losses.append(_loss_and_grads(params, cfg, chunk, *inputs, grads,
+                                      add=lo > 0))
     return np.concatenate(losses)
 
 
@@ -869,7 +863,7 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
     take the input params' dtype; losses are summed as Python floats. Each
     record is encoded once, and each batch runs `batch_loss_and_grads`,
     which reads a record's pack at every epoch unless copies of its
-    features are much smaller than the pack (`_Example.item`).
+    features are much smaller than the pack (`_gather`).
     Raises NumericsError on a non-finite loss, or if a step left a
     non-finite parameter.
     """
