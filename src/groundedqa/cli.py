@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 numerics.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -55,13 +56,14 @@ class RunConfig:
     out: str = None
     n_telling: int = 32
     n_pointing: int = 32
-    gold_stub: bool = False
     blur: bool = False
 
 
 _PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
 _CHOICES = {"mode": qamodel.MODES, "task": ("telling", "pointing", "both"),
             "preset": tuple(_PRESETS)}
+_AT_LEAST = {"hidden": 1, "d_a": 1, "batch": 1, "epochs": 0, "n_telling": 0,
+             "n_pointing": 0}
 
 
 def _build_parser() -> _Parser:
@@ -114,9 +116,22 @@ def parse_config(argv) -> RunConfig:
         args = parser.parse_args(_config_file_flags(args.config) + argv)
     explicit = {name: value for name, value in vars(args).items()
                 if value is not None and name != "config"}
+    _validate_ranges(explicit)
     cfg = RunConfig(**explicit)
     _validate_widths(cfg, explicit)
     return cfg
+
+
+def _validate_ranges(explicit) -> None:
+    """ValidationError for a numeric flag (or config value) out of range."""
+    for name, low in _AT_LEAST.items():
+        if explicit.get(name, low) < low:
+            raise ValidationError(f"--{name.replace('_', '-')} must be at "
+                                  f"least {low}, got {explicit[name]}")
+    lr = explicit.get("lr", 1.0)
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"--lr must be finite and greater than 0, "
+                              f"got {lr}")
 
 
 def _validate_widths(cfg: RunConfig, explicit) -> None:
@@ -183,22 +198,25 @@ def _require(cfg: RunConfig, *names):
                              f"no such path {value!r}")
 
 
-def _open_run(cfg: RunConfig, split=None):
+def _open_run(cfg: RunConfig, split):
     """
-    Prepare --out; return echo, corpus, selected records and the
-    `featurestore.PackFiles` of their images. Each pack is read and checked
-    here, then dropped: it must hold its image and the region of every
-    pointing candidate of its records.
+    Prepare --out; return echo, corpus, the records of `split` and the
+    `featurestore.PackFiles` of their images. Without --splits, the split is
+    `datamodel.make_splits(corpus, --splits-seed)`, echoed as
+    splits=default:<seed>. Each pack is read and checked here, then
+    dropped: it must hold its image and the region of every pointing
+    candidate of its records.
     """
     _require(cfg, "corpus", "features")
-    echo = _prepare_out(cfg)
+    echo = _prepare_out(replace(
+        cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
     corpus = datamodel.parse_corpus(cfg.corpus)
     records = corpus.records
     if cfg.task != "both":
         records = [r for r in records if r.kind == cfg.task]
-    if split and cfg.splits:
-        assignment = datamodel.read_splits(cfg.splits).assignment
-        records = [r for r in records if assignment.get(r.qa_id) == split]
+    splits = (datamodel.read_splits(cfg.splits) if cfg.splits
+              else datamodel.make_splits(corpus, cfg.splits_seed))
+    records = [r for r in records if splits.assignment.get(r.qa_id) == split]
     by_image = {}
     for rec in records:
         by_image.setdefault(rec.image_id, []).append(rec)
@@ -271,13 +289,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
     echo, _, records, packs = _open_run(cfg, split="test")
     if not records:
         raise ValidationError("no test records selected")
-    if cfg.gold_stub:
-        outcomes = [datamodel.mc_candidates(rec)[1] for rec in records]
-    else:
-        _require(cfg, "checkpoint")
-        params, mc, vocab = _load_model(cfg)
-        outcomes = [o if isinstance(o, Exception) else o[0] for o in
-                    qamodel.predict_batch(records, packs, params, vocab, mc)]
+    _require(cfg, "checkpoint")
+    params, mc, vocab = _load_model(cfg)
+    outcomes = [o if isinstance(o, Exception) else o[0] for o in
+                qamodel.predict_batch(records, packs, params, vocab, mc)]
     report = evalkit.tally(records, outcomes)
     with open(os.path.join(cfg.out, "report.txt"), "w") as f:
         f.write(report.to_text(header_lines=echo))

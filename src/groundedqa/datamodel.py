@@ -276,21 +276,18 @@ class Vocabulary:
         return [self.token_to_index.get(t, unk) for t in tokens]
 
 
-def build_vocab(records, min_count: int = 1) -> Vocabulary:
+def build_vocab(records) -> Vocabulary:
     """
-    Vocabulary over training questions and telling answers, frequency floor
-    min_count, ordered by (frequency desc, token asc) after the reserved
-    UNK and END_ANSWER slots.
+    Vocabulary of every token of the training questions and telling
+    answers, ordered by (frequency desc, token asc) after the reserved UNK
+    and END_ANSWER slots.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = Counter()
     for rec in records:
         counts.update(tokenize(rec.question))
         if rec.kind == "telling":
             counts.update(tokenize(rec.answer))
-    tokens = sorted((t for t, c in counts.items() if c >= min_count),
-                    key=lambda t: (-counts[t], t))
+    tokens = sorted(counts, key=lambda t: (-counts[t], t))
     return Vocabulary.from_tokens([UNK, END_ANSWER] + tokens)
 
 

@@ -177,13 +177,12 @@ def _blur_clamped(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def export_heatmap_image(heatmap: HeatMap, path, blur: bool = False,
-                         scale: int = 16) -> None:
+def export_heatmap_image(heatmap: HeatMap, path, blur: bool = False) -> None:
     """
     Write a binary portable graymap, min-max normalized to 0..255 (a
-    constant grid maps to all zeros). Blur applies a clamped 3x3 binomial
-    kernel before normalization; quantitative analyses always use the raw
-    grid, never this output.
+    constant grid maps to all zeros), each cell drawn as a 16x16 block of
+    pixels. Blur applies a clamped 3x3 binomial kernel before normalization;
+    quantitative analyses always use the raw grid, never this output.
     """
     grid = heatmap.grid.astype(np.float64)
     if blur:
@@ -193,8 +192,7 @@ def export_heatmap_image(heatmap: HeatMap, path, blur: bool = False,
         pixels = np.round((grid - lo) / (hi - lo) * 255).astype(np.uint8)
     else:
         pixels = np.zeros_like(grid, dtype=np.uint8)
-    if scale > 1:
-        pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
+    pixels = np.repeat(np.repeat(pixels, 16, axis=0), 16, axis=1)
     with open(path, "wb") as f:
         f.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
                 .encode("ascii"))

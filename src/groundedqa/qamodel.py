@@ -37,6 +37,9 @@ a (1, cells, .) view, and one pointing head scores every pointing record's
 candidates. `predict_mc`, `encode`, `telling_answer_loglik`, the
 single-record losses and `attention_trace` run at B = 1.
 
+Every public loss function sets `grads` to its gradients, whatever it
+held; only the later passes of a `batch_loss_and_grads` call add.
+
 Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
 run float32; gradient checks and the reference comparisons run float64 or
 wider. All tensors of one params dict share a dtype, and pack features are
@@ -516,18 +519,16 @@ def predict_mc(record, pack, params, vocab, cfg):
 def attention_trace(record, pack, params, vocab, cfg) -> list:
     """
     One attention vector per step while the model reads the image, the
-    question and, for a telling record, its correct answer. A non-finite
-    weight raises NumericsError.
+    question and, for a telling record, its correct answer: the `encode`
+    trace of those tokens. A non-finite weight raises NumericsError.
     """
     tokens = vocab.encode(datamodel.tokenize(record.question))
     if record.kind == "telling":
         tokens += vocab.encode(datamodel.tokenize(record.answer))
-    feat, conv = slice_pack(pack, cfg, params["W_img"].dtype)
-    trace = _forward(params, conv[None], *_pad([tokens]), cfg.mode,
-                     feat=feat[None]).A[:, 0]
+    trace = encode(pack, tokens, params, cfg).trace
     if not np.isfinite(trace).all():
         raise NumericsError(f"non-finite attention on record {record.qa_id}")
-    return list(trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +620,12 @@ def _backward(params, run, dH, mode, grads, add):
 
 
 def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
-                    add=True):
+                    add=False):
     """
     One pass over `examples` (telling and pointing records may mix) with
     their features as `_gather` returns them. Returns their losses in the
-    params' dtype. With `grads`, writes the sum of their gradients into it,
-    or adds it when `add`.
+    params' dtype. With `grads`, sets it to the sum of their gradients, or
+    adds that sum to it when `add`.
     """
     ids, lengths = _pad([ex.q + (ex.a or []) for ex in examples])
     run = _forward(params, conv, ids, lengths, cfg.mode, feat=feat)
@@ -685,7 +686,7 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens,
                            grads=None):
     """
     Mean cross-entropy over the answer-token predictions (answer tokens plus
-    END). With `grads`, adds the analytic gradient of every parameter to it.
+    END). With `grads`, sets it to the analytic gradient of every parameter.
     Kept for the benchmark's .telling loss+grad metric, which traces it;
     the ROADMAP's "one scoring path" item deletes it after that metric.
     """
@@ -701,7 +702,7 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
                             target, grads=None):
     """
     Cross-entropy over the softmax of the 4 candidate scores. With `grads`,
-    adds the analytic gradient of every parameter to it. Kept for the
+    sets it to the analytic gradient of every parameter. Kept for the
     benchmark's .pointing loss+grad metric, which traces it; the ROADMAP's
     "one scoring path" item deletes it after that metric.
     """
@@ -791,21 +792,17 @@ def _gather(examples, packs, cfg, dtype):
 
 
 def record_loss_and_grads(params, cfg, record, pack, vocab, grads=None):
-    """The record's loss; with `grads`, its gradients are added to it."""
-    examples = [_Example.of(record, vocab)]
-    *inputs, failed = _gather(examples, {record.image_id: pack}, cfg,
-                              params["W_img"].dtype)
-    if failed:
-        raise failed[0]
-    return _loss_and_grads(params, cfg, examples, *inputs, grads)[0]
+    """`batch_loss_and_grads` at one record: its loss; sets `grads`."""
+    return batch_loss_and_grads(params, cfg, [record],
+                                {record.image_id: pack}, vocab, grads)[0]
 
 
 def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     """
-    The losses of `records` (QARecords, or the examples `train` encodes
-    once per run), in order and in the params' dtype. Sets `grads` to the
-    sum of their gradients, over one pass per PASS_RECORDS records. Raises
-    the first failure to read a record's features, in input order.
+    The losses of `records` (QARecords, or examples encoded once by the
+    caller), in order and in the params' dtype. Sets `grads` (unless None)
+    to the sum of their gradients, over one pass per PASS_RECORDS records.
+    Raises the first failure to read a record's features, in input order.
     """
     examples = [r if isinstance(r, _Example) else _Example.of(r, vocab)
                 for r in records]
@@ -825,15 +822,19 @@ def gradcheck_fns(cfg, record, pack, vocab):
     (loss_fn, grad_fn) pair for the finite-difference checker. loss_fn
     evaluates the forward pass in extended precision so the numeric oracle's
     round-off stays well below the checker's denominator floor; perturbed
-    parameters themselves remain double precision.
+    parameters themselves remain double precision. Both run
+    `batch_loss_and_grads` on the record, encoded once.
     """
+    examples, packs = [_Example.of(record, vocab)], {record.image_id: pack}
+
     def loss_fn(p):
         wide = {k: v.astype(np.longdouble) for k, v in p.items()}
-        return record_loss_and_grads(wide, cfg, record, pack, vocab)
+        return batch_loss_and_grads(wide, cfg, examples, packs, vocab,
+                                    None)[0]
 
     def grad_fn(p):
         grads = zero_grads(cfg)
-        record_loss_and_grads(p, cfg, record, pack, vocab, grads)
+        batch_loss_and_grads(p, cfg, examples, packs, vocab, grads)
         return grads
 
     return loss_fn, grad_fn
@@ -905,11 +906,14 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
 
 
 def training_accuracy(records, packs, vocab, params, cfg):
+    """The share of `predict_batch`'s answers that are right, or its first
+    failure raised."""
     correct = 0
-    for rec in records:
-        _, target = datamodel.mc_candidates(rec)
-        chosen, _ = predict_mc(rec, packs[rec.image_id], params, vocab, cfg)
-        correct += int(chosen == target)
+    for rec, outcome in zip(records, predict_batch(records, packs, params,
+                                                   vocab, cfg)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        correct += int(outcome[0] == datamodel.mc_candidates(rec)[1])
     return correct / len(records)
 
 

@@ -256,7 +256,7 @@ def train(records, packs, vocab, params, cfg, train_cfg):
     """
     Mini-batch training with one gradient array, one AdamState and one
     Adam update per tensor, over the stacked model's loss and gradients of
-    one record at a time. It does not clip.
+    one record at a time, which it sums itself. It does not clip.
     """
     params = {k: v.copy() for k, v in params.items()}
     states = {name: AdamState.for_param(p, train_cfg.learning_rate)
@@ -273,8 +273,12 @@ def train(records, packs, vocab, params, cfg, train_cfg):
             batch_loss = 0.0
             for idx in batch:
                 rec = records[idx]
+                record_grads = qamodel.zero_grads(cfg)
                 batch_loss += qamodel.record_loss_and_grads(
-                    params, cfg, rec, packs[rec.image_id], vocab, grads)
+                    params, cfg, rec, packs[rec.image_id], vocab,
+                    record_grads)
+                for name, g in record_grads.items():
+                    grads[name] += g
             epoch_loss += batch_loss
             for g in grads.values():
                 g *= 1.0 / len(batch)

@@ -41,7 +41,7 @@ class TestParsing:
     def test_config_file_bad_choice_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("mode=garbage\n")
-        assert _run("eval", "--config", str(cfg_file), "--gold-stub",
+        assert _run("eval", "--config", str(cfg_file),
                     "--out", str(tmp_path / "o")) == 1
         assert "garbage" in capsys.readouterr().err
 
@@ -64,6 +64,44 @@ class TestParsing:
     def test_single_width_matching_preset_allowed(self):
         cfg = cli.parse_config(["gradcheck", "--hidden", "8"])
         assert cfg.hidden == 8 and cfg.d_a == 8
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,values,bad", [
+        ("train", {"hidden": "0", "d-a": "0"}, "--hidden"),
+        ("train", {"d-a": "0", "hidden": "8"}, "--d-a"),
+        ("train", {"batch": "-2"}, "--batch"),
+        ("train", {"batch": "0"}, "--batch"),
+        ("train", {"epochs": "-1"}, "--epochs"),
+        ("train", {"lr": "-1"}, "--lr"),
+        ("train", {"lr": "0"}, "--lr"),
+        ("train", {"lr": "inf"}, "--lr"),
+        ("train", {"lr": "nan"}, "--lr"),
+        ("synth", {"n-telling": "-2", "n-pointing": "1"}, "--n-telling"),
+        ("synth", {"n-pointing": "-1"}, "--n-pointing"),
+        # the benchmark and TestNonFinite use these
+        ("train", {"epochs": "0"}, None),
+        ("synth", {"n-pointing": "0"}, None),
+        ("train", {"lr": "1e300"}, None),
+    ])
+    def test_numeric_flag_range(self, tmp_path, capsys, source, command,
+                                values, bad):
+        if source == "flag":
+            argv = [command] + [token for name, value in values.items()
+                                for token in (f"--{name}", value)]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("".join(f"{name}={value}\n"
+                                        for name, value in values.items()))
+            argv = [command, "--config", str(cfg_file)]
+        if bad is None:
+            cfg = cli.parse_config(argv)
+            for name, value in values.items():
+                field = getattr(cfg, name.replace("-", "_"))
+                assert field == type(field)(value)
+            return
+        assert _run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert f"validation error: {bad} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def _tree_files(root):
@@ -172,15 +210,6 @@ class TestPipeline:
         text = (rep / "report.txt").read_text()
         assert "overall\t" in text and "category\tcount\taccuracy" in text
 
-    def test_eval_gold_stub_perfect(self, world):
-        rep = world["root"] / "gold"
-        assert _run("eval", "--corpus", world["corpus"],
-                    "--features", world["features"],
-                    "--gold-stub", "--out", str(rep)) == 0
-        overall = [l for l in (rep / "report.txt").read_text().splitlines()
-                   if l.startswith("overall\t")]
-        assert overall[0].split("\t") == ["overall", "12", "1.0000"]
-
     def test_stats(self, world):
         out = world["root"] / "stats"
         assert _run("stats", "--corpus", world["corpus"],
@@ -218,6 +247,37 @@ class TestPipeline:
         assert len(tests) == 4
         assert {n for n in os.listdir(tmp_path) if n.endswith(".pgm")} \
             == tests
+
+    def test_default_split_keeps_eval_off_the_training_records(
+            self, world, tmp_path, monkeypatch):
+        """Without --splits, train and eval split by make_splits(corpus,
+        --splits-seed) and name that split in their echo."""
+        seen = {}
+
+        def spy(name):
+            real = getattr(qamodel, name)
+
+            def wrapper(records, *args):
+                seen[name] = {r.qa_id for r in records}
+                return real(records, *args)
+            monkeypatch.setattr(qamodel, name, wrapper)
+
+        spy("train")
+        spy("predict_batch")
+        data = ["--corpus", world["corpus"], "--features", world["features"]]
+        run, rep = tmp_path / "run", tmp_path / "rep"
+        assert _run("train", *data, "--epochs", "1", "--out", str(run)) == 0
+        assert _run("eval", *data, "--checkpoint", str(run / "model.ckpt"),
+                    "--out", str(rep)) == 0
+        assignment = datamodel.make_splits(
+            datamodel.parse_corpus(world["corpus"]), 0).assignment
+        assert seen["predict_batch"] == {
+            q for q, split in assignment.items() if split == "test"}
+        assert seen["train"] and not seen["train"] & seen["predict_batch"]
+        for out in (run, rep):
+            assert "splits=default:0" in (
+                out / "config.echo.txt").read_text().splitlines()
+        assert "# splits=default:0\n" in (rep / "report.txt").read_text()
 
     def test_heatmap_without_splits_is_usage_error(self, world, trained_run,
                                                    tmp_path, capsys):
@@ -365,6 +425,14 @@ class TestMode:
         assert "--mode learned" in err and "uniform" in err
 
 
+def _test_split(tmp_path, records):
+    """A splits file that puts every one of `records` in the test split."""
+    path = tmp_path / "test_splits.tsv"
+    datamodel.write_splits(datamodel.SplitAssignment(
+        dict.fromkeys((r.qa_id for r in records), "test")), path)
+    return str(path)
+
+
 def _split_images(world, split):
     """The image ids of the world's records in one split."""
     assignment = datamodel.read_splits(world["splits"]).assignment
@@ -439,8 +507,10 @@ class TestInputs:
         shutil.copytree(world["features"], features)
         first, second = sorted(os.listdir(features))[:2]
         shutil.copyfile(features / first, features / second)
+        splits = _test_split(tmp_path, datamodel.parse_corpus(
+            world["corpus"]).records)
         assert _run("eval", "--corpus", world["corpus"],
-                    "--features", str(features), "--gold-stub",
+                    "--features", str(features), "--splits", splits,
                     "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert second in err and first[:-len(".fpk")] in err
@@ -459,7 +529,8 @@ class TestInputs:
                                         tmp_path / "x.fpk")
         (tmp_path / "packs").mkdir()
         assert _run("eval", "--corpus", str(path),
-                    "--features", str(tmp_path / "packs"), "--gold-stub",
+                    "--features", str(tmp_path / "packs"),
+                    "--splits", _test_split(tmp_path, [rec]),
                     "--out", str(tmp_path / "o")) == 2
         assert "not a plain file name" in capsys.readouterr().err
 

@@ -163,17 +163,11 @@ class TestVocabulary:
         v = build_vocab([])
         assert v.index_to_token == [UNK, END_ANSWER]
 
-    def test_min_count_one_keeps_everything(self):
+    def test_keeps_every_token(self):
         recs = [_telling()]
-        v = build_vocab(recs, min_count=1)
+        v = build_vocab(recs)
         for tok in tokenize(recs[0].question) + tokenize(recs[0].answer):
             assert tok in v.token_to_index
-
-    def test_min_count_filters(self):
-        recs = [_telling(qa_id=f"t{i}", answer="cat") for i in range(3)]
-        recs.append(_telling(qa_id="t9", answer="dog"))
-        v = build_vocab(recs, min_count=2)
-        assert "cat" in v.token_to_index
         assert "dog" not in v.token_to_index
         assert v.encode(["dog"]) == [v.unk_index]
 

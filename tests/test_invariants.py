@@ -80,6 +80,35 @@ def test_every_public_name_is_reached():
     assert not stale, f"now reached; drop from UNREACHED_ON_PURPOSE: {stale}"
 
 
+def test_every_private_name_is_referenced():
+    """
+    No top-level `_` def or class that no package module refers to. A
+    private name cannot be reached from outside the package, so one that
+    nothing in it refers to is dead code. Its own body does not count.
+    """
+    defined, used = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in _tree(path).body:
+            own = getattr(node, "name", None)
+            if own is not None and own.startswith("_"):
+                defined[own] = f"{path.name}:{node.lineno}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert defined
+    orphans = {name: where for name, where in defined.items()
+               if name not in used}
+    assert not orphans, orphans
+
+
 def test_no_unused_imports_in_the_package():
     """Each name a package module imports at top level, it uses."""
     unused = []

@@ -648,6 +648,48 @@ class TestGradients:
             tol = 10 * np.finfo(np.longdouble).eps
             assert abs(loss - ref) <= tol * abs(ref)
 
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    @pytest.mark.parametrize("fn", ["record", "telling", "pointing", "batch"])
+    def test_every_loss_function_sets_grads(self, monkeypatch, mode, fn):
+        """Filled with NaN or with zeros, `grads` ends bitwise the same."""
+        monkeypatch.setattr(qamodel, "PASS_RECORDS", 2)  # batch: 2 passes
+        vocab, cfg, packs = _world("micro")
+        cfg = replace(cfg, mode=mode)
+        params = init_params(cfg, 9)
+        rec = tiny_pointing_record() if fn == "pointing" \
+            else tiny_telling_record()
+        pack = packs[rec.image_id]
+        q_tokens = vocab.encode(datamodel.tokenize(rec.question))
+
+        def run(grads):
+            if fn == "record":
+                qamodel.record_loss_and_grads(params, cfg, rec, pack, vocab,
+                                              grads)
+            elif fn == "telling":
+                qamodel.telling_loss_and_grads(
+                    params, cfg, pack, q_tokens,
+                    vocab.encode(datamodel.tokenize(rec.answer)), grads)
+            elif fn == "pointing":
+                cands, target = datamodel.mc_candidates(rec)
+                qamodel.pointing_loss_and_grads(
+                    params, cfg, pack, q_tokens,
+                    [pack.region_features[c][:cfg.feat_dim] for c in cands],
+                    target, grads)
+            else:
+                qamodel.batch_loss_and_grads(
+                    params, cfg, [rec, tiny_pointing_record(),
+                                  tiny_repeat_record()], packs, vocab, grads)
+
+        results = []
+        for fill in (np.nan, 0.0):
+            grads = {name: np.full(shape, fill)
+                     for name, shape in param_shapes(cfg).items()}
+            run(grads)
+            results.append(grads)
+        for name, g in results[0].items():
+            assert np.isfinite(g).all(), name
+            assert g.tobytes() == results[1][name].tobytes(), name
+
 
 class TestReferenceOracle:
     """The stacked, hoisted core against the per-gate loop reference."""
