@@ -56,7 +56,6 @@ class RunConfig:
     out: str = None
     n_telling: int = 32
     n_pointing: int = 32
-    blur: bool = False
 
 
 _PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
@@ -72,17 +71,14 @@ def _build_parser() -> _Parser:
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="key=value config file; flags override")
     for f in fields(RunConfig)[1:]:
-        flag = "--" + f.name.replace("_", "-")
-        if f.type is bool:
-            p.add_argument(flag, action="store_const", const=True)
-        else:
-            p.add_argument(flag, type=f.type, choices=_CHOICES.get(f.name))
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                       choices=_CHOICES.get(f.name))
     return p
 
 
 def _config_file_flags(path) -> list:
     """The key=value lines of a config file, as command-line flag tokens."""
-    kinds = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+    keys = {f.name for f in fields(RunConfig)[1:]}
     flags = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -93,16 +89,9 @@ def _config_file_flags(path) -> list:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, value = (part.strip() for part in line.partition("="))
             key = key.replace("-", "_")
-            if key not in kinds:
+            if key not in keys:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            flag = "--" + key.replace("_", "-")
-            if kinds[key] is not bool:
-                flags.append(f"{flag}={value}")
-            elif value.lower() in ("1", "true", "yes"):
-                flags.append(flag)
-            elif value.lower() not in ("0", "false", "no"):
-                raise UsageError(f"{path}:{lineno}: {key} must be true "
-                                 f"or false, got {value!r}")
+            flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
 
@@ -201,7 +190,8 @@ def _require(cfg: RunConfig, *names):
 def _open_run(cfg: RunConfig, split):
     """
     Prepare --out; return echo, corpus, the records of `split` and the
-    `featurestore.PackFiles` of their images. Without --splits, the split is
+    `featurestore.PackFiles` of their images; a split that selects no
+    record is a ValidationError. Without --splits, the split is
     `datamodel.make_splits(corpus, --splits-seed)`, echoed as
     splits=default:<seed>. Each pack is read and checked here, then
     dropped: it must hold its image and the region of every pointing
@@ -217,6 +207,8 @@ def _open_run(cfg: RunConfig, split):
     splits = (datamodel.read_splits(cfg.splits) if cfg.splits
               else datamodel.make_splits(corpus, cfg.splits_seed))
     records = [r for r in records if splits.assignment.get(r.qa_id) == split]
+    if not records:
+        raise ValidationError(f"no {split} records selected")
     by_image = {}
     for rec in records:
         by_image.setdefault(rec.image_id, []).append(rec)
@@ -264,8 +256,6 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 def _cmd_train(cfg: RunConfig) -> int:
     echo, _, records, packs = _open_run(cfg, split="train")
-    if not records:
-        raise ValidationError("no training records selected")
     vocab = datamodel.build_vocab(records)
     mc = _model_config(cfg, vocab.size)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
@@ -286,10 +276,8 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    echo, _, records, packs = _open_run(cfg, split="test")
-    if not records:
-        raise ValidationError("no test records selected")
     _require(cfg, "checkpoint")
+    echo, _, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
     outcomes = [o if isinstance(o, Exception) else o[0] for o in
                 qamodel.predict_batch(records, packs, params, vocab, mc)]
@@ -357,14 +345,18 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "splits")  # maps the test split only
     _, corpus, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
+    if mc.conv_cells != featurestore.CONV_CELLS:  # a map covers the image
+        raise ValidationError(
+            f"checkpoint {cfg.checkpoint} reads {mc.conv_cells} conv cells; "
+            f"a heat map needs the pack's whole grid of "
+            f"{featurestore.CONV_CELLS}")
     dims = {image_id: (w, h) for image_id, w, h in corpus.images}
     for rec in records:
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
                                         vocab, mc)
         heatmap = evalkit.attention_heatmap(trace, *dims[rec.image_id])
         evalkit.export_heatmap_image(
-            heatmap, os.path.join(cfg.out, f"{rec.qa_id}.pgm"),
-            blur=cfg.blur)
+            heatmap, os.path.join(cfg.out, f"{rec.qa_id}.pgm"))
     return EXIT_OK
 
 

@@ -120,6 +120,18 @@ class Corpus:
                 raise CorpusError(f"{rec.qa_id}: unknown image {rec.image_id}")
 
 
+_JSON_TYPES = {"string": (str,), "number": (int, float), "array": (list,)}
+
+
+def _typed(value, kind, what, key):
+    """`value`, or CorpusError naming `what` and its field `key` unless it
+    has the JSON type `kind`, a key of _JSON_TYPES."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise CorpusError(f"{what}: {key} must be a JSON {kind}, "
+                          f"got {value!r}")
+    return value
+
+
 def parse_corpus(path) -> Corpus:
     """Load and fully validate a corpus JSON file."""
     with open(path, "r", encoding="utf-8") as f:
@@ -128,22 +140,32 @@ def parse_corpus(path) -> Corpus:
         except json.JSONDecodeError as e:
             raise CorpusError(f"{path}: not valid JSON: {e}") from e
     try:
-        images = [(im["image_id"], im["width"], im["height"])
-                  for im in doc["images"]]
+        images = []
+        for im in doc["images"]:
+            what = f"{path}: image {im['image_id']!r}"
+            images.append((_typed(im["image_id"], "string", what, "image_id"),
+                           _typed(im["width"], "number", what, "width"),
+                           _typed(im["height"], "number", what, "height")))
         records = []
         for raw in doc["qa_pairs"]:
+            what = f"{path}: record {raw['qa_id']!r}"
+            text = {key: _typed(raw[key], "string", what, key)
+                    for key in ("qa_id", "image_id", "kind", "category",
+                                "question", "answer")}
+            distractors = [
+                _typed(d, "string", what, "distractors")
+                for d in _typed(raw["distractors"], "array", what,
+                                "distractors")]
             groundings = [
                 ObjectGrounding(
-                    grounding_id=g["grounding_id"],
-                    name=g["name"],
+                    grounding_id=_typed(g["grounding_id"], "string", what,
+                                        "grounding_id"),
+                    name=_typed(g["name"], "string", what, "name"),
                     box=BoundingBox(*g["box"]),
                 ) for g in raw.get("groundings", [])
             ]
-            records.append(QARecord(
-                qa_id=raw["qa_id"], image_id=raw["image_id"],
-                kind=raw["kind"], category=raw["category"],
-                question=raw["question"], answer=raw["answer"],
-                distractors=list(raw["distractors"]), groundings=groundings))
+            records.append(QARecord(**text, distractors=distractors,
+                                    groundings=groundings))
     except (KeyError, TypeError) as e:
         raise CorpusError(f"{path}: malformed field: {e}") from e
     corpus = Corpus(images=images, records=records)

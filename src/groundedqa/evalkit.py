@@ -164,29 +164,13 @@ def accuracy_by_frequency_bin(outcomes, bins) -> dict:
     return {ub: correct[ub] / totals[ub] for ub in totals}
 
 
-_BLUR_KERNEL = np.outer([1, 2, 1], [1, 2, 1]) / 16.0
-
-
-def _blur_clamped(grid: np.ndarray) -> np.ndarray:
-    padded = np.pad(grid, 1, mode="edge")
-    out = np.zeros_like(grid)
-    for di in range(3):
-        for dj in range(3):
-            out += _BLUR_KERNEL[di, dj] * padded[
-                di:di + grid.shape[0], dj:dj + grid.shape[1]]
-    return out
-
-
-def export_heatmap_image(heatmap: HeatMap, path, blur: bool = False) -> None:
+def export_heatmap_image(heatmap: HeatMap, path) -> None:
     """
     Write a binary portable graymap, min-max normalized to 0..255 (a
     constant grid maps to all zeros), each cell drawn as a 16x16 block of
-    pixels. Blur applies a clamped 3x3 binomial kernel before normalization;
-    quantitative analyses always use the raw grid, never this output.
+    pixels. Quantitative analyses use the raw grid, never this output.
     """
     grid = heatmap.grid.astype(np.float64)
-    if blur:
-        grid = _blur_clamped(grid)
     lo, hi = grid.min(), grid.max()
     if hi > lo:
         pixels = np.round((grid - lo) / (hi - lo) * 255).astype(np.uint8)

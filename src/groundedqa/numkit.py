@@ -1,10 +1,10 @@
 """
-Dense math kernels: stable softmax (of a vector, or row-wise), Adam,
-gradient clipping and a central-difference gradient checker. Each computes
-in the dtype of the arrays it is given: float32 for training, float64 (or
-wider) for the checks. Everything here is a pure function of its inputs
-except `adam_step` and `clip_grads_by_norm`, which update the arrays they
-are given in place.
+Dense math kernels: a row-wise stable softmax, Adam, gradient clipping
+and a central-difference gradient checker. Each computes in the dtype of
+the arrays it is given: float32 for training, float64 (or wider) for the
+checks. Everything here is a pure function of its inputs except
+`adam_step` and `clip_grads_by_norm`, which update the arrays they are
+given in place.
 """
 
 from dataclasses import dataclass
@@ -29,17 +29,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(np.minimum(x, -x))
     d = 1 + e
     return np.where(x >= 0, 1 / d, e / d)
-
-
-def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction. Input must be a non-empty 1-d vector."""
-    logits = np.asarray(logits)
-    if not np.issubdtype(logits.dtype, np.floating):
-        logits = logits.astype(np.float64)
-    logits = logits.ravel()
-    if logits.size == 0:
-        raise ValueError("softmax of an empty vector")
-    return softmax_rows(logits)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -144,8 +133,11 @@ class GradCheckResult:
     worst_param: str = ""
 
 
-def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
-                           h: float = 1e-5) -> GradCheckResult:
+GRADCHECK_STEP = 1e-5  # the step h of finite_diff_grad_check's differences
+
+
+def finite_diff_grad_check(loss_fn, grad_fn,
+                           params: dict) -> GradCheckResult:
     """
     Compare analytic gradients against central differences.
 
@@ -164,14 +156,14 @@ def finite_diff_grad_check(loss_fn, grad_fn, params: dict,
         flat = p.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_STEP
             lp = loss_fn(params)
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_STEP
             lm = loss_fn(params)
             flat[i] = orig
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise NumericsError(f"non-finite loss perturbing {name}[{i}]")
-            numeric = (lp - lm) / (2 * h)
+            numeric = (lp - lm) / (2 * GRADCHECK_STEP)
             a = g.ravel()[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             if rel > result.max_rel_error:

@@ -13,7 +13,7 @@ import numpy as np
 from groundedqa import datamodel, qamodel
 from groundedqa.qamodel import LEARNED, UNIFORM, slice_pack
 from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
-                               AdamState, sigmoid, softmax_stable)
+                               AdamState, sigmoid, softmax_rows)
 
 GATES = ("i", "f", "o", "g")  # also the block order of the stacked weights
 _STACKED = {"Wv": "Wv_", "Wh": "Wh_", "Wr": "Wr_", "b_gates": "b_"}
@@ -79,7 +79,7 @@ def _attention_fwd(h_prev, conv_map, params, mode):
     z = params["W_he"] @ h_prev + conv_map @ params["W_ce"].T  # (cells, d_a)
     u = np.tanh(z)
     e = u @ params["w_a"] + params["b_a"][0]
-    a = softmax_stable(e)
+    a = softmax_rows(e)
     r = a @ conv_map
     return a, r, u, e
 
@@ -191,7 +191,7 @@ def telling_loss_and_grads(params, cfg, pack, q_tokens, a_tokens, mode):
     for k, target in enumerate(targets):
         t = m + k
         h_t = caches[t]["h"]
-        probs = softmax_stable(params["W_out"] @ h_t + params["b_out"])
+        probs = softmax_rows(params["W_out"] @ h_t + params["b_out"])
         loss = loss - scale * np.log(max(probs[target], 1e-12))
         dlogits = probs * scale
         dlogits[target] -= scale
@@ -210,7 +210,7 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
     transformed = [params["W_ptr"] @ f + params["b_ptr"]
                    for f in cand_features]
     scores = np.array([tv @ h for tv in transformed])
-    probs = softmax_stable(scores)
+    probs = softmax_rows(scores)
     loss = -np.log(max(probs[target], 1e-12))
     ds = probs.copy()
     ds[target] -= 1.0

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import os
 import shutil
 import weakref
@@ -182,6 +183,28 @@ def uniform_ckpt(world):
     return run / "model.ckpt"
 
 
+def _full_grid_ckpt(world, name, *flags):
+    """A checkpoint that reads the packs' whole 196-cell conv grid, as
+    heatmap needs; narrow, so that it trains in a fraction of a second."""
+    run = world["root"] / name
+    assert _run("train", "--corpus", world["corpus"],
+                "--features", world["features"], "--splits", world["splits"],
+                "--preset", "full", "--hidden", "8", "--d-a", "8",
+                "--epochs", "2", "--batch", "4", *flags,
+                "--out", str(run)) == 0
+    return run / "model.ckpt"
+
+
+@pytest.fixture(scope="module")
+def full_grid_ckpt(world):
+    return _full_grid_ckpt(world, "full_grid")
+
+
+@pytest.fixture(scope="module")
+def full_grid_uniform_ckpt(world):
+    return _full_grid_ckpt(world, "full_grid_uniform", "--mode", "uniform")
+
+
 class TestPipeline:
     def test_split_echo_and_sizes(self, world):
         with open(world["splits"]) as f:
@@ -218,13 +241,12 @@ class TestPipeline:
         assert "n_telling\t6" in text and "n_pointing\t6" in text
         assert "avg_q_len\t" in text
 
-    def test_heatmap_writes_pgms(self, world, trained_run):
-        run = trained_run
+    def test_heatmap_writes_pgms(self, world, full_grid_ckpt):
         out = world["root"] / "hm"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"],
-                    "--checkpoint", str(run / "model.ckpt"),
+                    "--checkpoint", str(full_grid_ckpt),
                     "--task", "pointing", "--out", str(out)) == 0
         assignment = datamodel.read_splits(world["splits"]).assignment
         expected = {f"{r.qa_id}.pgm" for r in
@@ -235,11 +257,12 @@ class TestPipeline:
         with open(out / pgms[0], "rb") as f:
             assert f.read(2) == b"P5"
 
-    def test_heatmap_maps_the_test_split(self, world, trained_run, tmp_path):
+    def test_heatmap_maps_the_test_split(self, world, full_grid_ckpt,
+                                         tmp_path):
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"],
-                    "--checkpoint", str(trained_run / "model.ckpt"),
+                    "--checkpoint", str(full_grid_ckpt),
                     "--out", str(tmp_path)) == 0
         assignment = datamodel.read_splits(world["splits"]).assignment
         tests = {f"{q}.pgm" for q, split in assignment.items()
@@ -247,6 +270,18 @@ class TestPipeline:
         assert len(tests) == 4
         assert {n for n in os.listdir(tmp_path) if n.endswith(".pgm")} \
             == tests
+
+    def test_heatmap_needs_the_whole_grid(self, world, trained_run, tmp_path,
+                                          capsys):
+        """A micro model reads 4 of the 196 cells: no map of the image."""
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--checkpoint", str(trained_run / "model.ckpt"),
+                    "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "reads 4 conv cells" in err and "whole grid of 196" in err
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".pgm")]
 
     def test_default_split_keeps_eval_off_the_training_records(
             self, world, tmp_path, monkeypatch):
@@ -362,6 +397,24 @@ class TestPipeline:
         assert _run("stats", "--corpus", str(bad),
                     "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("images", "width", "700"), ("qa_pairs", "qa_id", 5),
+        ("qa_pairs", "question", 5), ("qa_pairs", "answer", 5)])
+    def test_corpus_field_of_wrong_type_is_validation_error(
+            self, world, tmp_path, capsys, section, key, value):
+        with open(world["corpus"]) as f:
+            doc = json.load(f)
+        entry = doc[section][0]
+        entry[key] = value
+        named = (f"image {entry['image_id']!r}" if section == "images"
+                 else f"record {entry['qa_id']!r}")
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(doc))
+        assert _run("stats", "--corpus", str(bad),
+                    "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"{named}: {key} must be a JSON " in err
+
     def test_train_writes_a_float32_checkpoint(self, trained_run):
         params, mc, _ = qamodel.load_checkpoint(trained_run / "model.ckpt")
         assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
@@ -392,12 +445,14 @@ class TestMode:
                            if not l.startswith("#")])
         assert bodies[0] == bodies[1]
 
-    def test_heatmap_takes_mode_from_checkpoint(self, world, uniform_ckpt):
+    def test_heatmap_takes_mode_from_checkpoint(self, world,
+                                                full_grid_uniform_ckpt):
         out = world["root"] / "hm_uniform"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"],
-                    "--checkpoint", str(uniform_ckpt), "--out", str(out)) == 0
+                    "--checkpoint", str(full_grid_uniform_ckpt),
+                    "--out", str(out)) == 0
         pgms = [n for n in os.listdir(out) if n.endswith(".pgm")]
         assert len(pgms) == 4  # the test split
         for name in pgms:
@@ -502,7 +557,30 @@ class TestInputs:
         assert "no test records selected" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.txt").exists()
 
-    def test_pack_under_another_images_name(self, world, tmp_path, capsys):
+    def test_heatmap_with_no_test_record_is_validation_error(
+            self, world, full_grid_ckpt, tmp_path, capsys):
+        splits = tmp_path / "splits.tsv"
+        splits.write_text(open(world["splits"]).read().replace(
+            "\ttest\n", "\ttrain\n"))
+        assert _run("heatmap", "--corpus", world["corpus"],
+                    "--features", world["features"], "--splits", str(splits),
+                    "--checkpoint", str(full_grid_ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "no test records selected" in capsys.readouterr().err
+        assert not [n for n in os.listdir(tmp_path / "o")
+                    if n.endswith(".pgm")]
+
+    def test_eval_without_checkpoint_leaves_no_out(self, world, tmp_path,
+                                                   capsys):
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--out", str(tmp_path / "o")) == 1
+        assert "--checkpoint is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pack_under_another_images_name(self, world, untrained_ckpt,
+                                            tmp_path, capsys):
         features = tmp_path / "packs"
         shutil.copytree(world["features"], features)
         first, second = sorted(os.listdir(features))[:2]
@@ -511,11 +589,13 @@ class TestInputs:
             world["corpus"]).records)
         assert _run("eval", "--corpus", world["corpus"],
                     "--features", str(features), "--splits", splits,
+                    "--checkpoint", str(untrained_ckpt),
                     "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert second in err and first[:-len(".fpk")] in err
 
-    def test_image_id_outside_the_features_directory(self, world, tmp_path,
+    def test_image_id_outside_the_features_directory(self, world,
+                                                     untrained_ckpt, tmp_path,
                                                      capsys):
         corpus = datamodel.parse_corpus(world["corpus"])
         rec = replace(corpus.records[0], image_id="../x")
@@ -531,6 +611,7 @@ class TestInputs:
         assert _run("eval", "--corpus", str(path),
                     "--features", str(tmp_path / "packs"),
                     "--splits", _test_split(tmp_path, [rec]),
+                    "--checkpoint", str(untrained_ckpt),
                     "--out", str(tmp_path / "o")) == 2
         assert "not a plain file name" in capsys.readouterr().err
 
@@ -706,8 +787,8 @@ class TestNonFinite:
         assert not (tmp_path / "model.ckpt").exists()
 
     @staticmethod
-    def _nan_checkpoint(untrained_ckpt, tmp_path):
-        params, mc, vocab = qamodel.load_checkpoint(untrained_ckpt)
+    def _nan_checkpoint(ckpt, tmp_path):
+        params, mc, vocab = qamodel.load_checkpoint(ckpt)
         ckpt = tmp_path / "nan.ckpt"
         qamodel.save_checkpoint({k: np.full_like(v, np.nan)
                                  for k, v in params.items()}, mc, vocab, ckpt)
@@ -753,8 +834,8 @@ class TestNonFinite:
         assert "1 of 4 records failed" in capsys.readouterr().err
 
     def test_heatmap_of_non_finite_attention_exits_3(
-            self, world, untrained_ckpt, tmp_path, capsys):
-        ckpt = self._nan_checkpoint(untrained_ckpt, tmp_path)
+            self, world, full_grid_ckpt, tmp_path, capsys):
+        ckpt = self._nan_checkpoint(full_grid_ckpt, tmp_path)
         out = tmp_path / "maps"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],

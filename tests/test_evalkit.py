@@ -199,15 +199,3 @@ class TestExportHeatmap:
         block = img[3 * 16:4 * 16, 4 * 16:5 * 16]
         assert np.all(block == 255)
         assert img.sum() == 255 * 256
-
-    def test_blur_binomial_neighborhood(self, tmp_path):
-        grid = np.zeros((5, 5))
-        grid[2, 2] = 1.0
-        path = tmp_path / "b.pgm"
-        export_heatmap_image(HeatMap(grid=grid), path, blur=True)
-        img = _read_pgm(path)[::16, ::16]
-        # kernel (1,2,1)x(1,2,1)/16 -> normalized by the max (4/16)
-        expected = np.zeros((5, 5), dtype=np.uint8)
-        expected[1:4, 1:4] = np.round(
-            np.outer([1, 2, 1], [1, 2, 1]) / 4 * 255)
-        assert np.array_equal(img, expected)

@@ -1,10 +1,13 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 
 import groundedqa
+from groundedqa import cli
 
 SRC = pathlib.Path(groundedqa.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -153,4 +156,29 @@ def test_every_benchmark_traced_function_exists():
                 or fn.__module__ != module.__name__
                 or fn.__qualname__ != name):
             missing.append(label)
+    assert not missing, missing
+
+
+def test_every_flag_is_documented_and_exercised():
+    """
+    Each `RunConfig` flag appears in README.md, and in the CLI tests, the
+    acceptance suite or the benchmark. A flag matches whole: `--splits`
+    does not match `--splits-seed`.
+    """
+    def text(*names):
+        return "\n".join((TESTS.parent / name).read_text(encoding="utf-8")
+                         for name in names)
+
+    places = {"README.md": text("README.md"),
+              "a test or the benchmark": text(
+                  "tests/test_cli.py", "tests/test_acceptance.py",
+                  "perfbench/run.py")}
+    missing = {}
+    for f in dataclasses.fields(cli.RunConfig)[1:]:
+        flag = "--" + f.name.replace("_", "-")
+        whole = re.compile(rf"(?<![\w-]){re.escape(flag)}(?![\w-])")
+        absent = [place for place, body in places.items()
+                  if not whole.search(body)]
+        if absent:
+            missing[flag] = absent
     assert not missing, missing

@@ -7,7 +7,7 @@ from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK,
                                ADAM_EPSILON, AdamState, DimensionError,
                                adam_step, clip_grads_by_norm,
                                finite_diff_grad_check, sigmoid,
-                               softmax_stable)
+                               softmax_rows)
 
 
 def _sigmoid_split_by_sign(x):
@@ -46,10 +46,10 @@ class TestSigmoid:
 
 class TestSoftmax:
     def test_symmetric(self):
-        assert np.allclose(softmax_stable(np.zeros(4)), 0.25, atol=1e-15)
+        assert np.allclose(softmax_rows(np.zeros(4)), 0.25, atol=1e-15)
 
     def test_forced_values(self):
-        out = softmax_stable(np.array([0.0, math.log(3.0)]))
+        out = softmax_rows(np.array([0.0, math.log(3.0)]))
         assert np.allclose(out, [0.25, 0.75], atol=1e-14)
 
     def test_shift_invariance(self):
@@ -57,14 +57,14 @@ class TestSoftmax:
         for _ in range(50):
             v = rng.normal(scale=10.0, size=8)
             c = rng.normal(scale=100.0)
-            assert np.max(np.abs(softmax_stable(v + c) - softmax_stable(v))) \
+            assert np.max(np.abs(softmax_rows(v + c) - softmax_rows(v))) \
                 < 1e-12
 
     def test_sums_to_one_large_magnitudes(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             v = rng.uniform(-1e6, 1e6, size=16)
-            out = softmax_stable(v)
+            out = softmax_rows(v)
             assert abs(out.sum() - 1.0) < 1e-12
             # exp underflows at spreads past ~700, so only [0, 1] is
             # attainable in double precision at this magnitude
@@ -75,12 +75,12 @@ class TestSoftmax:
         for _ in range(50):
             # spreads must stay below ~ln(2/eps) ~ 36 for the max entry to
             # round strictly below 1
-            out = softmax_stable(rng.uniform(-15, 15, size=16))
+            out = softmax_rows(rng.uniform(-15, 15, size=16))
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax_stable(np.array([]))
+            softmax_rows(np.array([]))
 
 
 class TestAdam:
