@@ -47,8 +47,7 @@ class RunConfig:
     mode: str = None  # None: learned at train, the checkpoint's at eval
     task: str = "both"
     preset: str = "micro"
-    hidden: int = None
-    d_a: int = None
+    hidden: int = None  # also the attention width; None: the preset's
     epochs: int = 10
     batch: int = 128
     lr: float = 1e-4
@@ -61,7 +60,7 @@ class RunConfig:
 _PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
 _CHOICES = {"mode": qamodel.MODES, "task": ("telling", "pointing", "both"),
             "preset": tuple(_PRESETS)}
-_AT_LEAST = {"hidden": 1, "d_a": 1, "batch": 1, "epochs": 0, "n_telling": 0,
+_AT_LEAST = {"hidden": 1, "batch": 1, "epochs": 0, "n_telling": 0,
              "n_pointing": 0}
 
 
@@ -69,50 +68,28 @@ def _build_parser() -> _Parser:
     """One flag per `RunConfig` field after `command`, typed by its field."""
     p = _Parser(prog="groundedqa", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", help="key=value config file; flags override")
     for f in fields(RunConfig)[1:]:
         p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
                        choices=_CHOICES.get(f.name))
     return p
 
 
-def _config_file_flags(path) -> list:
-    """The key=value lines of a config file, as command-line flag tokens."""
-    keys = {f.name for f in fields(RunConfig)[1:]}
-    flags = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            key = key.replace("-", "_")
-            if key not in keys:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
-
-
 def parse_config(argv) -> RunConfig:
-    """CLI flags override config-file values override defaults."""
+    """The run the flags ask for; an unset flag takes its default."""
     if not argv:
         raise UsageError("no command given; commands: " + ", ".join(COMMANDS))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config:  # file values parse like flags given before the real ones
-        args = parser.parse_args(_config_file_flags(args.config) + argv)
-    explicit = {name: value for name, value in vars(args).items()
-                if value is not None and name != "config"}
+    explicit = {name: value for name, value
+                in vars(_build_parser().parse_args(argv)).items()
+                if value is not None}
     _validate_ranges(explicit)
     cfg = RunConfig(**explicit)
-    _validate_widths(cfg, explicit)
+    if cfg.hidden is None:
+        cfg.hidden = _PRESETS[cfg.preset]().hidden
     return cfg
 
 
 def _validate_ranges(explicit) -> None:
-    """ValidationError for a numeric flag (or config value) out of range."""
+    """ValidationError for a numeric flag out of range."""
     for name, low in _AT_LEAST.items():
         if explicit.get(name, low) < low:
             raise ValidationError(f"--{name.replace('_', '-')} must be at "
@@ -123,22 +100,9 @@ def _validate_ranges(explicit) -> None:
                               f"got {lr}")
 
 
-def _validate_widths(cfg: RunConfig, explicit) -> None:
-    preset = _PRESETS[cfg.preset]()
-    hidden = cfg.hidden if cfg.hidden is not None else preset.hidden
-    d_a = cfg.d_a if cfg.d_a is not None else preset.d_a
-    one_explicit = ("hidden" in explicit) != ("d_a" in explicit)
-    if one_explicit and hidden != d_a:
-        raise ValidationError(
-            f"conflicting widths: hidden {hidden} vs attention width {d_a} "
-            f"from preset {cfg.preset!r}; set both explicitly to mix them")
-    cfg.hidden = hidden
-    cfg.d_a = d_a
-
-
 def _model_config(cfg: RunConfig, vocab_size: int) -> qamodel.ModelConfig:
     return replace(_PRESETS[cfg.preset](vocab_size=vocab_size),
-                   hidden=cfg.hidden, d_a=cfg.d_a,
+                   hidden=cfg.hidden, d_a=cfg.hidden,
                    mode=cfg.mode or qamodel.LEARNED)
 
 
@@ -166,8 +130,6 @@ def _config_echo(cfg: RunConfig):
 
 
 def _prepare_out(cfg: RunConfig):
-    if not cfg.out:
-        raise UsageError("--out is required for this command")
     os.makedirs(cfg.out, exist_ok=True)
     echo = _config_echo(cfg)
     with open(os.path.join(cfg.out, "config.echo.txt"), "w") as f:
@@ -189,17 +151,14 @@ def _require(cfg: RunConfig, *names):
 
 def _open_run(cfg: RunConfig, split):
     """
-    Prepare --out; return echo, corpus, the records of `split` and the
-    `featurestore.PackFiles` of their images; a split that selects no
-    record is a ValidationError. Without --splits, the split is
-    `datamodel.make_splits(corpus, --splits-seed)`, echoed as
-    splits=default:<seed>. Each pack is read and checked here, then
-    dropped: it must hold its image and the region of every pointing
-    candidate of its records.
+    The corpus, the records of `split` and the `featurestore.PackFiles` of
+    their images; a split that selects no record is a ValidationError.
+    Without --splits, the split is `datamodel.make_splits(corpus,
+    --splits-seed)`. Each pack is read and checked here, then dropped: it
+    must hold its image and the region of every pointing candidate of its
+    records. Writes nothing: the caller prepares --out once this returns.
     """
     _require(cfg, "corpus", "features")
-    echo = _prepare_out(replace(
-        cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
     corpus = datamodel.parse_corpus(cfg.corpus)
     records = corpus.records
     if cfg.task != "both":
@@ -223,7 +182,14 @@ def _open_run(cfg: RunConfig, split):
                     raise ValidationError(
                         f"{packs.paths[image_id]}: no region feature for "
                         f"{rid!r}, a candidate of record {rec.qa_id}")
-    return echo, corpus, records, packs
+    return corpus, records, packs
+
+
+def _prepare_run_out(cfg: RunConfig):
+    """`_prepare_out` for a run over a split; without --splits the echo
+    says splits=default:<seed>."""
+    return _prepare_out(replace(
+        cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +212,8 @@ def _cmd_synth(cfg: RunConfig) -> int:
 
 def _cmd_split(cfg: RunConfig) -> int:
     _require(cfg, "corpus")
-    echo = _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
+    echo = _prepare_out(cfg)
     splits = datamodel.make_splits(corpus, cfg.splits_seed)
     datamodel.write_splits(splits, os.path.join(cfg.out, "splits.tsv"),
                            header_lines=echo)
@@ -255,7 +221,8 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    echo, _, records, packs = _open_run(cfg, split="train")
+    _, records, packs = _open_run(cfg, split="train")
+    echo = _prepare_run_out(cfg)
     vocab = datamodel.build_vocab(records)
     mc = _model_config(cfg, vocab.size)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
@@ -277,8 +244,9 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
-    echo, _, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
+    _, records, packs = _open_run(cfg, split="test")
+    echo = _prepare_run_out(cfg)
     outcomes = [o if isinstance(o, Exception) else o[0] for o in
                 qamodel.predict_batch(records, packs, params, vocab, mc)]
     report = evalkit.tally(records, outcomes)
@@ -293,9 +261,14 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_gradcheck(cfg: RunConfig) -> int:
+    if cfg.preset != "micro":  # its packs are synthesized at micro shapes
+        raise UsageError(f"--preset {cfg.preset}: gradcheck runs at the "
+                         f"micro preset only")
     echo = _prepare_out(cfg) if cfg.out else _config_echo(cfg)
+    micro = qamodel.ModelConfig.micro()
     corpus, packs = synthdata.synth_corpus(
-        2, 2, cfg.seed, global_dim=12, conv_cells=4, conv_channels=6)
+        2, 2, cfg.seed, global_dim=micro.feat_dim,
+        conv_cells=micro.conv_cells, conv_channels=micro.conv_channels)
     vocab = datamodel.build_vocab(corpus.records)
     mc = _model_config(cfg, vocab.size)
     params = qamodel.init_params(mc, cfg.seed)
@@ -320,8 +293,8 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
 
 def _cmd_stats(cfg: RunConfig) -> int:
     _require(cfg, "corpus")
-    echo = _prepare_out(cfg)
     corpus = datamodel.parse_corpus(cfg.corpus)
+    echo = _prepare_out(cfg)
     stats = datamodel.corpus_stats(corpus)
     bins = datamodel.object_frequency_bins(corpus.records)
     with open(os.path.join(cfg.out, "stats.txt"), "w") as f:
@@ -343,13 +316,14 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "splits")  # maps the test split only
-    _, corpus, records, packs = _open_run(cfg, split="test")
     params, mc, vocab = _load_model(cfg)
     if mc.conv_cells != featurestore.CONV_CELLS:  # a map covers the image
         raise ValidationError(
             f"checkpoint {cfg.checkpoint} reads {mc.conv_cells} conv cells; "
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
+    corpus, records, packs = _open_run(cfg, split="test")
+    _prepare_out(cfg)
     dims = {image_id: (w, h) for image_id, w, h in corpus.images}
     for rec in records:
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
@@ -369,6 +343,8 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig) -> int:
+    if not cfg.out and cfg.command != "gradcheck":  # gradcheck prints
+        raise UsageError("--out is required for this command")
     return _DISPATCH[cfg.command](cfg)
 
 

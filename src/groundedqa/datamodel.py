@@ -132,6 +132,14 @@ def _typed(value, kind, what, key):
     return value
 
 
+def _box(value, what) -> BoundingBox:
+    """The box of JSON array `value`, which must hold exactly 4 numbers."""
+    box = _typed(value, "array", what, "box")
+    if len(box) != 4:
+        raise CorpusError(f"{what}: box must hold 4 numbers, got {box!r}")
+    return BoundingBox(*(_typed(v, "number", what, "box") for v in box))
+
+
 def parse_corpus(path) -> Corpus:
     """Load and fully validate a corpus JSON file."""
     with open(path, "r", encoding="utf-8") as f:
@@ -141,13 +149,13 @@ def parse_corpus(path) -> Corpus:
             raise CorpusError(f"{path}: not valid JSON: {e}") from e
     try:
         images = []
-        for im in doc["images"]:
+        for im in _typed(doc["images"], "array", path, "images"):
             what = f"{path}: image {im['image_id']!r}"
             images.append((_typed(im["image_id"], "string", what, "image_id"),
                            _typed(im["width"], "number", what, "width"),
                            _typed(im["height"], "number", what, "height")))
         records = []
-        for raw in doc["qa_pairs"]:
+        for raw in _typed(doc["qa_pairs"], "array", path, "qa_pairs"):
             what = f"{path}: record {raw['qa_id']!r}"
             text = {key: _typed(raw[key], "string", what, key)
                     for key in ("qa_id", "image_id", "kind", "category",
@@ -161,7 +169,7 @@ def parse_corpus(path) -> Corpus:
                     grounding_id=_typed(g["grounding_id"], "string", what,
                                         "grounding_id"),
                     name=_typed(g["name"], "string", what, "name"),
-                    box=BoundingBox(*g["box"]),
+                    box=_box(g["box"], what),
                 ) for g in raw.get("groundings", [])
             ]
             records.append(QARecord(**text, distractors=distractors,

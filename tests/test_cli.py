@@ -25,51 +25,27 @@ class TestParsing:
     def test_unknown_command(self):
         assert _run("frobnicate") == 1
 
-    def test_flag_overrides_config_file(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("lr = 0.5\nepochs = 7\n")
-        cfg = cli.parse_config(["train", "--config", str(cfg_file),
-                                "--lr", "0.25"])
-        assert cfg.lr == 0.25  # flag wins
-        assert cfg.epochs == 7  # file fills the rest
+    def test_unknown_flag_is_usage_error(self, capsys):
+        assert _run("train", "--d-a", "8") == 1
+        assert "--d-a" in capsys.readouterr().err
 
-    def test_config_file_unknown_key(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("warp_factor=9\n")
-        with pytest.raises(cli.UsageError, match="warp_factor"):
-            cli.parse_config(["train", "--config", str(cfg_file)])
-
-    def test_config_file_bad_choice_is_usage_error(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("mode=garbage\n")
-        assert _run("eval", "--config", str(cfg_file),
+    def test_bad_choice_is_usage_error(self, tmp_path, capsys):
+        assert _run("eval", "--mode", "garbage",
                     "--out", str(tmp_path / "o")) == 1
         assert "garbage" in capsys.readouterr().err
 
-    def test_config_file_width_conflicts_with_preset(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("hidden=16\n")
-        assert _run("gradcheck", "--config", str(cfg_file)) == 2
-        assert "conflicting widths" in capsys.readouterr().err
-
-    def test_conflicting_widths_rejected(self, capsys):
-        # hidden explicit, d_a from the micro preset (8): mismatch
-        assert _run("gradcheck", "--hidden", "16") == 2
-        assert "conflicting widths" in capsys.readouterr().err
-
-    def test_both_widths_explicit_allowed(self):
-        cfg = cli.parse_config(["gradcheck", "--hidden", "16",
-                                "--d-a", "4"])
-        assert cfg.hidden == 16 and cfg.d_a == 4
-
     def test_single_width_matching_preset_allowed(self):
-        cfg = cli.parse_config(["gradcheck", "--hidden", "8"])
-        assert cfg.hidden == 8 and cfg.d_a == 8
+        """--hidden sets both widths and defaults to the preset's."""
+        for preset, hidden in (("micro", 8), ("full", 512)):
+            cfg = cli.parse_config(["gradcheck", "--preset", preset])
+            assert cfg.hidden == hidden
+        assert cli.parse_config(["train", "--preset", "full",
+                                 "--hidden", "8"]).hidden == 8
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "inline"])
     @pytest.mark.parametrize("command,values,bad", [
-        ("train", {"hidden": "0", "d-a": "0"}, "--hidden"),
-        ("train", {"d-a": "0", "hidden": "8"}, "--d-a"),
+        ("train", {"hidden": "0"}, "--hidden"),
+        ("train", {"hidden": "-8"}, "--hidden"),
         ("train", {"batch": "-2"}, "--batch"),
         ("train", {"batch": "0"}, "--batch"),
         ("train", {"epochs": "-1"}, "--epochs"),
@@ -86,14 +62,7 @@ class TestParsing:
     ])
     def test_numeric_flag_range(self, tmp_path, capsys, source, command,
                                 values, bad):
-        if source == "flag":
-            argv = [command] + [token for name, value in values.items()
-                                for token in (f"--{name}", value)]
-        else:
-            cfg_file = tmp_path / "run.cfg"
-            cfg_file.write_text("".join(f"{name}={value}\n"
-                                        for name, value in values.items()))
-            argv = [command, "--config", str(cfg_file)]
+        argv = [command] + _flags(source, values)
         if bad is None:
             cfg = cli.parse_config(argv)
             for name, value in values.items():
@@ -103,6 +72,14 @@ class TestParsing:
         assert _run(*argv, "--out", str(tmp_path / "o")) == 2
         assert f"validation error: {bad} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def _flags(source, values):
+    """`values` as argv: `--name value` ("flag") or `--name=value` ("inline")."""
+    if source == "flag":
+        return [token for name, value in values.items()
+                for token in (f"--{name}", value)]
+    return [f"--{name}={value}" for name, value in values.items()]
 
 
 def _tree_files(root):
@@ -189,7 +166,7 @@ def _full_grid_ckpt(world, name, *flags):
     run = world["root"] / name
     assert _run("train", "--corpus", world["corpus"],
                 "--features", world["features"], "--splits", world["splits"],
-                "--preset", "full", "--hidden", "8", "--d-a", "8",
+                "--preset", "full", "--hidden", "8",
                 "--epochs", "2", "--batch", "4", *flags,
                 "--out", str(run)) == 0
     return run / "model.ckpt"
@@ -415,6 +392,29 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{named}: {key} must be a JSON " in err
 
+    @pytest.mark.parametrize("edit,named", [
+        ({"box": [1, 2, 3]}, "box must hold 4 numbers"),
+        ({"box": [1, 2, 3, 4, 5]}, "box must hold 4 numbers"),
+        ({"box": ["a", "b", "c", "d"]}, "box must be a JSON number"),
+        ({"box": 7}, "box must be a JSON array"),
+        ({"qa_pairs": 5}, "qa_pairs must be a JSON array")])
+    def test_corpus_shape_error_names_the_field(self, world, tmp_path, capsys,
+                                                edit, named):
+        with open(world["corpus"]) as f:
+            doc = json.load(f)
+        rec = doc["qa_pairs"][0]
+        if "box" in edit:
+            rec["groundings"] = [{"grounding_id": "g0", "name": "cup",
+                                  **edit}]
+            named = f"record {rec['qa_id']!r}: {named}"
+        else:
+            doc.update(edit)
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(doc))
+        assert _run("stats", "--corpus", str(bad),
+                    "--out", str(tmp_path / "o")) == 2
+        assert named in capsys.readouterr().err
+
     def test_train_writes_a_float32_checkpoint(self, trained_run):
         params, mc, _ = qamodel.load_checkpoint(trained_run / "model.ckpt")
         assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
@@ -461,20 +461,15 @@ class TestMode:
             assert pixels and not any(pixels), name  # a constant map
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "inline"])
     def test_mismatched_mode_is_validation_error(self, world, uniform_ckpt,
                                                  tmp_path, capsys, command,
                                                  source):
-        if source == "flag":
-            mode = ["--mode", "learned"]
-        else:
-            cfg_file = tmp_path / "run.cfg"
-            cfg_file.write_text("mode=learned\n")
-            mode = ["--config", str(cfg_file)]
         assert _run(command, "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"],
-                    "--checkpoint", str(uniform_ckpt), *mode,
+                    "--checkpoint", str(uniform_ckpt),
+                    *_flags(source, {"mode": "learned"}),
                     "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert "--mode learned" in err and "uniform" in err
@@ -567,8 +562,7 @@ class TestInputs:
                     "--checkpoint", str(full_grid_ckpt),
                     "--out", str(tmp_path / "o")) == 2
         assert "no test records selected" in capsys.readouterr().err
-        assert not [n for n in os.listdir(tmp_path / "o")
-                    if n.endswith(".pgm")]
+        assert not (tmp_path / "o").exists()
 
     def test_eval_without_checkpoint_leaves_no_out(self, world, tmp_path,
                                                    capsys):
@@ -577,6 +571,31 @@ class TestInputs:
                     "--splits", world["splits"],
                     "--out", str(tmp_path / "o")) == 1
         assert "--checkpoint is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("probe", ["train", "split", "stats",
+                                       "eval_mode", "heatmap_micro"])
+    def test_rejected_inputs_leave_no_out(self, world, trained_run, tmp_path,
+                                          capsys, probe):
+        """Every command checks its inputs before it writes to --out."""
+        with open(world["corpus"]) as f:
+            doc = json.load(f)
+        doc["qa_pairs"] = 5
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(doc))
+        data = ["--features", world["features"], "--splits", world["splits"]]
+        ckpt = ["--checkpoint", str(trained_run / "model.ckpt")]
+        argv = {
+            "train": ["train", "--corpus", str(bad), *data],
+            "split": ["split", "--corpus", str(bad)],
+            "stats": ["stats", "--corpus", str(bad)],
+            "eval_mode": ["eval", "--corpus", world["corpus"], *data, *ckpt,
+                          "--mode", "uniform"],
+            "heatmap_micro": ["heatmap", "--corpus", world["corpus"], *data,
+                              *ckpt],
+        }[probe]
+        assert _run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_pack_under_another_images_name(self, world, untrained_ckpt,
@@ -615,7 +634,7 @@ class TestInputs:
                     "--out", str(tmp_path / "o")) == 2
         assert "not a plain file name" in capsys.readouterr().err
 
-    def test_qa_id_outside_the_heatmap_directory(self, world, untrained_ckpt,
+    def test_qa_id_outside_the_heatmap_directory(self, world, full_grid_ckpt,
                                                  tmp_path, capsys):
         corpus = datamodel.parse_corpus(world["corpus"])
         corpus.records[-1] = replace(corpus.records[-1], qa_id="../escaped")
@@ -625,7 +644,7 @@ class TestInputs:
         assert _run("heatmap", "--corpus", str(path),
                     "--features", world["features"],
                     "--splits", world["splits"],
-                    "--checkpoint", str(untrained_ckpt),
+                    "--checkpoint", str(full_grid_ckpt),
                     "--out", str(maps / "sub")) == 2
         assert "'../escaped' is not a plain file name" \
             in capsys.readouterr().err
@@ -761,6 +780,12 @@ class TestGradcheck:
         assert "overall max relative error" in capsys.readouterr().out
         text = (tmp_path / "gc" / "gradcheck.txt").read_text()
         assert "max_rel_error" in text
+
+    def test_full_preset_is_usage_error(self, tmp_path, capsys):
+        assert _run("gradcheck", "--preset", "full",
+                    "--out", str(tmp_path / "gc")) == 1
+        assert "--preset full" in capsys.readouterr().err
+        assert not (tmp_path / "gc").exists()
 
     def test_failed_check_is_numerics_error(self, tmp_path, monkeypatch,
                                             capsys):

@@ -182,3 +182,16 @@ def test_every_flag_is_documented_and_exercised():
         if absent:
             missing[flag] = absent
     assert not missing, missing
+
+
+def test_every_documented_flag_exists():
+    """
+    Each `--flag` in README.md's CLI section is a `RunConfig` flag, matched
+    whole: the README documents no flag that the parser rejects.
+    """
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = {"--" + f.name.replace("_", "-")
+             for f in dataclasses.fields(cli.RunConfig)[1:]}
+    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert documented and not documented - flags, documented - flags
