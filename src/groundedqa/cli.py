@@ -61,7 +61,7 @@ _PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
 _CHOICES = {"mode": qamodel.MODES, "task": ("telling", "pointing", "both"),
             "preset": tuple(_PRESETS)}
 _AT_LEAST = {"hidden": 1, "batch": 1, "epochs": 0, "n_telling": 0,
-             "n_pointing": 0}
+             "n_pointing": 0, "seed": 0, "splits_seed": 0}
 
 
 def _build_parser() -> _Parser:

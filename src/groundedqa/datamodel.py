@@ -81,6 +81,8 @@ class QARecord:
         cands = [self.answer] + list(self.distractors)
         if len(self.distractors) != 3 or len(set(cands)) != 4:
             raise CorpusError(f"{self.qa_id}: need exactly 4 distinct candidates")
+        if self.kind == "telling" and not all(map(tokenize, cands)):
+            raise CorpusError(f"{self.qa_id}: a telling candidate has no word")
         if self.kind == "pointing":
             ids = {g.grounding_id for g in self.groundings}
             missing = [c for c in cands if c not in ids]
@@ -120,13 +122,16 @@ class Corpus:
                 raise CorpusError(f"{rec.qa_id}: unknown image {rec.image_id}")
 
 
-_JSON_TYPES = {"string": (str,), "number": (int, float), "array": (list,)}
+_JSON_TYPES = {"string": (str,), "number": (int, float), "array": (list,),
+               "object": (dict,)}
 
 
 def _typed(value, kind, what, key):
     """`value`, or CorpusError naming `what` and its field `key` unless it
-    has the JSON type `kind`, a key of _JSON_TYPES."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    has the JSON type `kind`, a key of _JSON_TYPES; a number must be finite
+    (Python's json reads NaN and Infinity)."""
+    if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+            or isinstance(value, float) and not math.isfinite(value)):
         raise CorpusError(f"{what}: {key} must be a JSON {kind}, "
                           f"got {value!r}")
     return value
@@ -137,7 +142,11 @@ def _box(value, what) -> BoundingBox:
     box = _typed(value, "array", what, "box")
     if len(box) != 4:
         raise CorpusError(f"{what}: box must hold 4 numbers, got {box!r}")
-    return BoundingBox(*(_typed(v, "number", what, "box") for v in box))
+    numbers = [_typed(v, "number", what, "box") for v in box]
+    try:
+        return BoundingBox(*numbers)
+    except CorpusError as e:
+        raise CorpusError(f"{what}: {e}") from e
 
 
 def parse_corpus(path) -> Corpus:
@@ -148,14 +157,19 @@ def parse_corpus(path) -> Corpus:
         except json.JSONDecodeError as e:
             raise CorpusError(f"{path}: not valid JSON: {e}") from e
     try:
+        _typed(doc, "object", path, "top level")
         images = []
-        for im in _typed(doc["images"], "array", path, "images"):
+        for i, im in enumerate(_typed(doc["images"], "array", path,
+                                      "images")):
+            _typed(im, "object", path, f"images[{i}]")
             what = f"{path}: image {im['image_id']!r}"
             images.append((_typed(im["image_id"], "string", what, "image_id"),
                            _typed(im["width"], "number", what, "width"),
                            _typed(im["height"], "number", what, "height")))
         records = []
-        for raw in _typed(doc["qa_pairs"], "array", path, "qa_pairs"):
+        for i, raw in enumerate(_typed(doc["qa_pairs"], "array", path,
+                                       "qa_pairs")):
+            _typed(raw, "object", path, f"qa_pairs[{i}]")
             what = f"{path}: record {raw['qa_id']!r}"
             text = {key: _typed(raw[key], "string", what, key)
                     for key in ("qa_id", "image_id", "kind", "category",
@@ -164,14 +178,15 @@ def parse_corpus(path) -> Corpus:
                 _typed(d, "string", what, "distractors")
                 for d in _typed(raw["distractors"], "array", what,
                                 "distractors")]
-            groundings = [
-                ObjectGrounding(
+            groundings = []
+            for j, g in enumerate(_typed(raw.get("groundings", []), "array",
+                                         what, "groundings")):
+                _typed(g, "object", what, f"groundings[{j}]")
+                groundings.append(ObjectGrounding(
                     grounding_id=_typed(g["grounding_id"], "string", what,
                                         "grounding_id"),
                     name=_typed(g["name"], "string", what, "name"),
-                    box=_box(g["box"], what),
-                ) for g in raw.get("groundings", [])
-            ]
+                    box=_box(g["box"], what)))
             records.append(QARecord(**text, distractors=distractors,
                                     groundings=groundings))
     except (KeyError, TypeError) as e:

@@ -9,10 +9,11 @@ recovers the plain LSTM baseline.
 
 The four gates share stacked weights: rows [k*h, (k+1)*h) of `Wv`, `Wh`,
 `Wr` and `b_gates` belong to gate GATES[k]. One forward/backward pass
-serves training, prediction and heat maps. It runs time-major over B
-records: their token ids come right-padded, with per-record lengths, and
-their conv maps stacked as one (B, cells, channels) array; row [t, b] of
-each buffer is step t of record b. The attention projection of the conv
+serves training, prediction and heat maps, and all three read a record as
+`_Example.of` encodes it. The pass runs time-major over B records: their
+token ids come right-padded, with per-record lengths, and their conv maps
+stacked as one (B, cells, channels) array; row [t, b] of each buffer is
+step t of record b. The attention projection of the conv
 maps and the input projection of every step are computed once per pass,
 outside the time loop, and each step's `Wh`, `Wr` and `W_he` products,
 forward and backward, are (B, .) GEMMs. A record's padded steps get no
@@ -437,9 +438,10 @@ def predict_batch(records, packs, params, vocab, cfg) -> list:
     Score each record's 4 candidates, in their deterministic presentation
     order, one pass per PASS_RECORDS records. Per record, returns (chosen
     index, scores), ties going to the lowest index, or the exception that
-    failed it: a non-finite score fails its own record with NumericsError,
-    an error raised by a pass fails each of its records. `packs` maps an
-    image id to its pack; each pass looks up its images when it starts.
+    failed it: an unreadable pack or a non-finite score (NumericsError)
+    fails its own record, an error raised by a pass each of its records.
+    `packs` maps an image id to its pack; each pass looks up its images
+    when it starts. A record that `_Example.of` rejects raises ValueError.
     """
     outcomes = []
     for lo in range(0, len(records), PASS_RECORDS):
@@ -454,52 +456,41 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
     reads their features), then one decode per telling record and one
     pointing head over the rest.
     """
-    outcomes = [None] * len(records)
-    slots, examples = [], []
-    for slot, rec in enumerate(records):
-        try:
-            examples.append(_Example.to_score(rec, vocab))
-        except Exception as e:  # fails this record only
-            outcomes[slot] = e
-        else:
-            slots.append(slot)
+    examples = [_Example.of(rec, vocab) for rec in records]
     feat, conv, F, failed = _gather(examples, packs, cfg,
                                     params["W_img"].dtype)
-    for b, e in failed.items():
-        outcomes[slots[b]] = e
+    outcomes = [failed.get(b) for b in range(len(examples))]
     read = [b for b in range(len(examples)) if b not in failed]
     if not read:
         return outcomes
     if failed:
         feat, conv, F = feat[read], conv[read], F[read]
-    rows = [(slots[b], examples[b]) for b in read]  # (slot, example)s read
-    b = len(rows)
+    rows = [examples[b] for b in read]
     try:
-        run = _forward(params, conv, *_pad([ex.q for _, ex in rows]),
-                       cfg.mode, feat=feat)
+        run = _forward(params, conv, *_pad([ex.q for ex in rows]), cfg.mode,
+                       feat=feat)
         # each record's state after its own last step
-        last = (run.lengths + 1, np.arange(b))
+        last = (run.lengths + 1, np.arange(len(rows)))
         h, c = run.H[last], run.C[last]
-        scores = np.empty((b, 4), h.dtype)
-        point = [i for i, (_, ex) in enumerate(rows) if ex.answers is None]
+        scores = np.empty((len(rows), 4), h.dtype)
+        point = [i for i, ex in enumerate(rows) if ex.answers is None]
         if point:
             _, scores[point] = _pointing_head(params, F[point], h[point])
-        for i, (_, ex) in enumerate(rows):
+        for i, ex in enumerate(rows):
             if ex.answers is not None:
                 proj = None if run.proj is None else run.proj[i:i + 1]
                 scores[i] = _answer_logliks(params, cfg.mode, conv[i:i + 1],
                                             proj, h[i], c[i], ex.answers)
     except Exception as e:  # fails every record of the pass
-        for slot, _ in rows:
-            outcomes[slot] = e
+        for b in read:
+            outcomes[b] = e
         return outcomes
-    for (slot, _), row in zip(rows, scores):
+    for b, row in zip(read, scores):
         row = [float(s) for s in row]
         if np.isfinite(row).all():
-            outcomes[slot] = int(np.argmax(row)), row  # first maximum
+            outcomes[b] = int(np.argmax(row)), row  # first maximum
         else:
-            outcomes[slot] = NumericsError(
-                f"non-finite candidate scores {row}")
+            outcomes[b] = NumericsError(f"non-finite candidate scores {row}")
     return outcomes
 
 
@@ -522,10 +513,8 @@ def attention_trace(record, pack, params, vocab, cfg) -> list:
     question and, for a telling record, its correct answer: the `encode`
     trace of those tokens. A non-finite weight raises NumericsError.
     """
-    tokens = vocab.encode(datamodel.tokenize(record.question))
-    if record.kind == "telling":
-        tokens += vocab.encode(datamodel.tokenize(record.answer))
-    trace = encode(pack, tokens, params, cfg).trace
+    ex = _Example.of(record, vocab)
+    trace = encode(pack, ex.q + (ex.a or []), params, cfg).trace
     if not np.isfinite(trace).all():
         raise NumericsError(f"non-finite attention on record {record.qa_id}")
     return trace
@@ -714,36 +703,27 @@ def pointing_loss_and_grads(params, cfg, pack, q_tokens, cand_features,
 
 @dataclass
 class _Example:
-    """A record with its token ids and candidates, encoded once."""
+    """A record as model input, encoded once for training, prediction and
+    heat maps, with its candidates in presentation order."""
     record: datamodel.QARecord
     q: list  # question token ids
     a: list = None  # answer token ids of a telling record
     cands: list = None  # candidate region ids of a pointing record
     target: int = 0
-    answers: list = None  # candidate answer token ids, to score a telling one
+    answers: list = None  # candidate answer token ids of a telling record
     kept: tuple = None  # copies of its rows, when `_gather` keeps them
 
     @classmethod
     def of(cls, record, vocab) -> "_Example":
         q = vocab.encode(datamodel.tokenize(record.question))
-        if record.kind == "telling":
-            a = vocab.encode(datamodel.tokenize(record.answer))
-            if not a:
-                raise ValueError(f"empty answer sequence in {record.qa_id}")
-            return cls(record, q, a=a)
         cands, target = datamodel.mc_candidates(record)
-        return cls(record, q, cands=cands, target=target)
-
-    @classmethod
-    def to_score(cls, record, vocab) -> "_Example":
-        """`of`, with a telling record's candidate answers encoded too."""
-        ex = cls.of(record, vocab)
-        if ex.a is not None:
-            cands, _ = datamodel.mc_candidates(record)
-            ex.answers = [vocab.encode(datamodel.tokenize(c)) for c in cands]
-            if not all(ex.answers):
-                raise ValueError(f"empty answer sequence in {record.qa_id}")
-        return ex
+        if record.kind != "telling":
+            return cls(record, q, cands=cands, target=target)
+        answers = [vocab.encode(datamodel.tokenize(c)) for c in cands]
+        if not all(answers):  # a validated corpus has no such candidate
+            raise ValueError(f"empty answer sequence in {record.qa_id}")
+        return cls(record, q, a=answers[target], target=target,
+                   answers=answers)
 
 
 def _gather(examples, packs, cfg, dtype):

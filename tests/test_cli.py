@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import shutil
 import weakref
@@ -59,6 +60,10 @@ class TestParsing:
         ("train", {"epochs": "0"}, None),
         ("synth", {"n-pointing": "0"}, None),
         ("train", {"lr": "1e300"}, None),
+        ("synth", {"seed": "-1"}, "--seed"),
+        ("train", {"seed": "-1"}, "--seed"),
+        ("gradcheck", {"seed": "-1"}, "--seed"),
+        ("split", {"splits-seed": "-1"}, "--splits-seed"),
     ])
     def test_numeric_flag_range(self, tmp_path, capsys, source, command,
                                 values, bad):
@@ -72,6 +77,18 @@ class TestParsing:
         assert _run(*argv, "--out", str(tmp_path / "o")) == 2
         assert f"validation error: {bad} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def _set(doc, path, value):
+    """`doc` with the entry at `path`, a tuple of keys and indices, set to
+    `value`; the empty path replaces the whole document."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 def _flags(source, values):
@@ -397,13 +414,27 @@ class TestPipeline:
         ({"box": [1, 2, 3, 4, 5]}, "box must hold 4 numbers"),
         ({"box": ["a", "b", "c", "d"]}, "box must be a JSON number"),
         ({"box": 7}, "box must be a JSON array"),
-        ({"qa_pairs": 5}, "qa_pairs must be a JSON array")])
+        ({"qa_pairs": 5}, "qa_pairs must be a JSON array"),
+        ({"box": [0, 0, 0, 5]}, "degenerate box w=0 h=5"),
+        ({"box": [-1, 0, 5, 5]}, "box origin out of image"),
+        ({"box": [0, 0, math.inf, 5]}, "box must be a JSON number"),
+        (((), []), "top level must be a JSON object"),
+        ((("images", 0), 5), "images[0] must be a JSON object"),
+        ((("qa_pairs", 1), 5), "qa_pairs[1] must be a JSON object"),
+        ((("qa_pairs", 0, "groundings"), 5),
+         "record 't00000': groundings must be a JSON array"),
+        ((("qa_pairs", 0, "groundings"), [5]),
+         "record 't00000': groundings[0] must be a JSON object"),
+        ((("images", 0, "width"), math.nan),
+         "image 'imgt00000': width must be a JSON number")])
     def test_corpus_shape_error_names_the_field(self, world, tmp_path, capsys,
                                                 edit, named):
         with open(world["corpus"]) as f:
             doc = json.load(f)
         rec = doc["qa_pairs"][0]
-        if "box" in edit:
+        if isinstance(edit, tuple):
+            doc = _set(doc, *edit)
+        elif "box" in edit:
             rec["groundings"] = [{"grounding_id": "g0", "name": "cup",
                                   **edit}]
             named = f"record {rec['qa_id']!r}: {named}"
@@ -571,6 +602,25 @@ class TestInputs:
                     "--splits", world["splits"],
                     "--out", str(tmp_path / "o")) == 1
         assert "--checkpoint is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_telling_candidate_without_a_word_leaves_no_out(
+            self, world, trained_run, tmp_path, capsys, command):
+        """Every telling candidate is encoded, so the corpus check rejects
+        one with no word before the command writes to --out."""
+        with open(world["corpus"]) as f:
+            doc = json.load(f)
+        doc["qa_pairs"][0]["distractors"][1] = " "
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, "--corpus", str(bad), "--features",
+                world["features"], "--splits", world["splits"]]
+        if command == "eval":
+            argv += ["--checkpoint", str(trained_run / "model.ckpt")]
+        assert _run(*argv, "--out", str(tmp_path / "o")) == 2
+        assert ("t00000: a telling candidate has no word"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("probe", ["train", "split", "stats",

@@ -275,6 +275,25 @@ class TestFrequencyBins:
         assert bins == {2: {"sky"}, 4: {"cat"}, 8: {"dog"}}
 
 
+class TestValidate:
+    @pytest.mark.parametrize("key,blank", [
+        ("distractors", ["dog", " ", "fish"]), ("answer", "")])
+    def test_telling_candidate_needs_a_word(self, key, blank):
+        rec = _telling(qa_id="t7")
+        setattr(rec, key, blank)
+        with pytest.raises(CorpusError,
+                           match="t7: a telling candidate has no word"):
+            rec.validate()
+
+    def test_pointing_candidates_are_region_ids(self):
+        ids = ["g0", " ", "g2", "g3"]
+        QARecord(qa_id="p0", image_id="im", kind="pointing",
+                 category="which", question="which one ?", answer=ids[0],
+                 distractors=ids[1:],
+                 groundings=[ObjectGrounding(i, "mug", _box(0, 0, 5, 5))
+                             for i in ids]).validate()
+
+
 class TestParseCorpus:
     def test_empty_records(self, tmp_path):
         path = tmp_path / "c.json"

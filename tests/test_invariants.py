@@ -129,6 +129,30 @@ def test_no_unused_imports_in_the_package():
     assert not unused, unused
 
 
+def test_records_are_tokenized_in_one_place():
+    """
+    Inside the package only `datamodel` itself and `qamodel._Example.of`
+    refer to `tokenize`: training, prediction and heat maps read the token
+    ids that `_Example.of` encodes, so a record has one encoding.
+    """
+    allowed = {"qamodel.py:_Example.of"}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "datamodel.py":
+            continue
+        stack = [(_tree(path), ())]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                scope += (node.name,)
+            if "tokenize" in (getattr(node, "id", None),
+                              getattr(node, "attr", None)):
+                found.add(f"{path.name}:{'.'.join(scope)}")
+            stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    assert found == allowed, sorted(found ^ allowed)
+
+
 def _load_by_path(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
