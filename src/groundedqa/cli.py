@@ -45,7 +45,6 @@ class RunConfig:
     splits_seed: int = 0
     checkpoint: str = None
     mode: str = None  # None: learned at train, the checkpoint's at eval
-    task: str = "both"
     preset: str = "micro"
     hidden: int = None  # also the attention width; None: the preset's
     epochs: int = 10
@@ -58,8 +57,7 @@ class RunConfig:
 
 
 _PRESETS = {"micro": qamodel.ModelConfig.micro, "full": qamodel.ModelConfig}
-_CHOICES = {"mode": qamodel.MODES, "task": ("telling", "pointing", "both"),
-            "preset": tuple(_PRESETS)}
+_CHOICES = {"mode": qamodel.MODES, "preset": tuple(_PRESETS)}
 _AT_LEAST = {"hidden": 1, "batch": 1, "epochs": 0, "n_telling": 0,
              "n_pointing": 0, "seed": 0, "splits_seed": 0}
 
@@ -124,14 +122,10 @@ def _load_model(cfg: RunConfig):
     return params, mc, vocab
 
 
-def _config_echo(cfg: RunConfig):
-    return [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
-            if getattr(cfg, f.name) is not None]
-
-
 def _prepare_out(cfg: RunConfig):
     os.makedirs(cfg.out, exist_ok=True)
-    echo = _config_echo(cfg)
+    echo = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
+            if getattr(cfg, f.name) is not None]
     with open(os.path.join(cfg.out, "config.echo.txt"), "w") as f:
         f.write("\n".join(echo) + "\n")
     with open(os.path.join(cfg.out, "run.log"), "a") as f:
@@ -160,12 +154,10 @@ def _open_run(cfg: RunConfig, split):
     """
     _require(cfg, "corpus", "features")
     corpus = datamodel.parse_corpus(cfg.corpus)
-    records = corpus.records
-    if cfg.task != "both":
-        records = [r for r in records if r.kind == cfg.task]
     splits = (datamodel.read_splits(cfg.splits) if cfg.splits
               else datamodel.make_splits(corpus, cfg.splits_seed))
-    records = [r for r in records if splits.assignment.get(r.qa_id) == split]
+    records = [r for r in corpus.records
+               if splits.assignment.get(r.qa_id) == split]
     if not records:
         raise ValidationError(f"no {split} records selected")
     by_image = {}
@@ -264,7 +256,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
     if cfg.preset != "micro":  # its packs are synthesized at micro shapes
         raise UsageError(f"--preset {cfg.preset}: gradcheck runs at the "
                          f"micro preset only")
-    echo = _prepare_out(cfg) if cfg.out else _config_echo(cfg)
+    echo = _prepare_out(cfg)
     micro = qamodel.ModelConfig.micro()
     corpus, packs = synthdata.synth_corpus(
         2, 2, cfg.seed, global_dim=micro.feat_dim,
@@ -281,11 +273,10 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         print(f"{rec.qa_id}: max relative error {result.max_rel_error:.3e} "
               f"({result.worst_param})")
     print(f"overall max relative error {worst:.3e}")
-    if cfg.out:
-        with open(os.path.join(cfg.out, "gradcheck.txt"), "w") as f:
-            for line in echo:
-                f.write(f"# {line}\n")
-            f.write(f"max_rel_error\t{worst:.6e}\n")
+    with open(os.path.join(cfg.out, "gradcheck.txt"), "w") as f:
+        for line in echo:
+            f.write(f"# {line}\n")
+        f.write(f"max_rel_error\t{worst:.6e}\n")
     if worst >= 1e-4:
         raise NumericsError(f"gradient check failed: {worst:.3e} >= 1e-4")
     return EXIT_OK
@@ -315,7 +306,7 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
-    _require(cfg, "checkpoint", "splits")  # maps the test split only
+    _require(cfg, "checkpoint")
     params, mc, vocab = _load_model(cfg)
     if mc.conv_cells != featurestore.CONV_CELLS:  # a map covers the image
         raise ValidationError(
@@ -323,7 +314,7 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
     corpus, records, packs = _open_run(cfg, split="test")
-    _prepare_out(cfg)
+    _prepare_run_out(cfg)
     dims = {image_id: (w, h) for image_id, w, h in corpus.images}
     for rec in records:
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
@@ -343,8 +334,8 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig) -> int:
-    if not cfg.out and cfg.command != "gradcheck":  # gradcheck prints
-        raise UsageError("--out is required for this command")
+    if not cfg.out:
+        raise UsageError("--out is required")
     return _DISPATCH[cfg.command](cfg)
 
 

@@ -83,8 +83,12 @@ class QARecord:
             raise CorpusError(f"{self.qa_id}: need exactly 4 distinct candidates")
         if self.kind == "telling" and not all(map(tokenize, cands)):
             raise CorpusError(f"{self.qa_id}: a telling candidate has no word")
+        ids = Counter(g.grounding_id for g in self.groundings)
+        repeated = [i for i, n in ids.items() if n > 1]
+        if repeated:
+            raise CorpusError(
+                f"{self.qa_id}: duplicate grounding id {repeated[0]!r}")
         if self.kind == "pointing":
-            ids = {g.grounding_id for g in self.groundings}
             missing = [c for c in cands if c not in ids]
             if missing:
                 raise CorpusError(
@@ -137,9 +141,23 @@ def _typed(value, kind, what, key):
     return value
 
 
-def _box(value, what) -> BoundingBox:
-    """The box of JSON array `value`, which must hold exactly 4 numbers."""
-    box = _typed(value, "array", what, "box")
+def _field(entry, key, kind, what):
+    """`_typed(entry[key], ...)`, or CorpusError naming `what`, the entry,
+    when it has no `key`."""
+    if key not in entry:
+        raise CorpusError(f"{what}: missing field {key!r}")
+    return _typed(entry[key], kind, what, key)
+
+
+def _named(entry, key, noun):
+    """The suffix that names an entry by its id `entry[key]`, or "" if it
+    has none."""
+    return f", {noun} {entry[key]!r}" if key in entry else ""
+
+
+def _box(grounding, what) -> BoundingBox:
+    """The box of a grounding, a JSON array of exactly 4 numbers."""
+    box = _field(grounding, "box", "array", what)
     if len(box) != 4:
         raise CorpusError(f"{what}: box must hold 4 numbers, got {box!r}")
     numbers = [_typed(v, "number", what, "box") for v in box]
@@ -156,41 +174,35 @@ def parse_corpus(path) -> Corpus:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise CorpusError(f"{path}: not valid JSON: {e}") from e
-    try:
-        _typed(doc, "object", path, "top level")
-        images = []
-        for i, im in enumerate(_typed(doc["images"], "array", path,
-                                      "images")):
-            _typed(im, "object", path, f"images[{i}]")
-            what = f"{path}: image {im['image_id']!r}"
-            images.append((_typed(im["image_id"], "string", what, "image_id"),
-                           _typed(im["width"], "number", what, "width"),
-                           _typed(im["height"], "number", what, "height")))
-        records = []
-        for i, raw in enumerate(_typed(doc["qa_pairs"], "array", path,
-                                       "qa_pairs")):
-            _typed(raw, "object", path, f"qa_pairs[{i}]")
-            what = f"{path}: record {raw['qa_id']!r}"
-            text = {key: _typed(raw[key], "string", what, key)
-                    for key in ("qa_id", "image_id", "kind", "category",
-                                "question", "answer")}
-            distractors = [
-                _typed(d, "string", what, "distractors")
-                for d in _typed(raw["distractors"], "array", what,
-                                "distractors")]
-            groundings = []
-            for j, g in enumerate(_typed(raw.get("groundings", []), "array",
-                                         what, "groundings")):
-                _typed(g, "object", what, f"groundings[{j}]")
-                groundings.append(ObjectGrounding(
-                    grounding_id=_typed(g["grounding_id"], "string", what,
-                                        "grounding_id"),
-                    name=_typed(g["name"], "string", what, "name"),
-                    box=_box(g["box"], what)))
-            records.append(QARecord(**text, distractors=distractors,
-                                    groundings=groundings))
-    except (KeyError, TypeError) as e:
-        raise CorpusError(f"{path}: malformed field: {e}") from e
+    _typed(doc, "object", path, "top level")
+    images = []
+    for i, im in enumerate(_field(doc, "images", "array", path)):
+        _typed(im, "object", path, f"images[{i}]")
+        what = f"{path}: images[{i}]" + _named(im, "image_id", "image")
+        images.append((_field(im, "image_id", "string", what),
+                       _field(im, "width", "number", what),
+                       _field(im, "height", "number", what)))
+    records = []
+    for i, raw in enumerate(_field(doc, "qa_pairs", "array", path)):
+        _typed(raw, "object", path, f"qa_pairs[{i}]")
+        name = _named(raw, "qa_id", "record")
+        what = f"{path}: qa_pairs[{i}]{name}"
+        text = {key: _field(raw, key, "string", what)
+                for key in ("qa_id", "image_id", "kind", "category",
+                            "question", "answer")}
+        distractors = [_typed(d, "string", what, "distractors")
+                       for d in _field(raw, "distractors", "array", what)]
+        groundings = []
+        for j, g in enumerate(_typed(raw.get("groundings", []), "array",
+                                     what, "groundings")):
+            _typed(g, "object", what, f"groundings[{j}]")
+            at = f"{path}: qa_pairs[{i}].groundings[{j}]{name}"
+            groundings.append(ObjectGrounding(
+                grounding_id=_field(g, "grounding_id", "string", at),
+                name=_field(g, "name", "string", at),
+                box=_box(g, at)))
+        records.append(QARecord(**text, distractors=distractors,
+                                groundings=groundings))
     corpus = Corpus(images=images, records=records)
     corpus.validate()
     return corpus

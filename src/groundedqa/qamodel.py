@@ -243,23 +243,13 @@ def _attend(h, conv, proj, params, buf):
     return a, (a[:, None] @ conv)[:, 0]
 
 
-def lstm_step(v, h_prev, c_prev, r, params):
-    """One gated cell update; returns (h, c)."""
-    if v.shape != h_prev.shape:
-        raise DimensionError(f"input {v.shape} vs hidden {h_prev.shape}")
-    pre = (params["Wv"] @ v + params["Wh"] @ h_prev + params["Wr"] @ r
-           + params["b_gates"])
-    h, c, _ = _cell(pre, c_prev)
-    return h, c
-
-
 def _cell(pre, c_prev):
     """Stacked gate pre-activations (..., 4h) -> (h, c, activated gates)."""
     n = c_prev.shape[-1]
     gates = np.empty_like(pre)
     gates[..., :3 * n] = sigmoid(pre[..., :3 * n])
     gates[..., 3 * n:] = np.tanh(pre[..., 3 * n:])
-    gi, gf, go, gg = np.split(gates, 4, axis=-1)
+    gi, gf, go, gg = (gates[..., k * n:(k + 1) * n] for k in range(4))
     c = gf * c_prev + gi * gg
     return go * np.tanh(c), c, gates
 
@@ -539,7 +529,7 @@ def _backward(params, run, dH, mode, grads, add):
     """
     G = run.G
     T, B, n = run.V.shape
-    gi, gf, go, gg = np.split(G, 4, axis=-1)
+    gi, gf, go, gg = (G[..., k * n:(k + 1) * n] for k in range(4))
     tc = np.tanh(run.C[1:])
     dc_dh = go * (1 - tc * tc)
     # gate pre-activation gradient = (dc, dc, dh, dc) blocks * dz_scale

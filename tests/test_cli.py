@@ -35,6 +35,19 @@ class TestParsing:
                     "--out", str(tmp_path / "o")) == 1
         assert "garbage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_every_command_requires_out(self, world, full_grid_ckpt,
+                                        tmp_path, monkeypatch, capsys,
+                                        command):
+        """Inputs that would run, but no --out: exit 1, nothing written."""
+        monkeypatch.chdir(tmp_path)
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--checkpoint", str(full_grid_ckpt)) == 1
+        out, err = capsys.readouterr()
+        assert "--out is required" in err and not out
+        assert not os.listdir(tmp_path)
+
     def test_single_width_matching_preset_allowed(self):
         """--hidden sets both widths and defaults to the preset's."""
         for preset, hidden in (("micro", 8), ("full", 512)):
@@ -79,15 +92,22 @@ class TestParsing:
         assert not (tmp_path / "o").exists()
 
 
+_MISSING = object()
+
+
 def _set(doc, path, value):
     """`doc` with the entry at `path`, a tuple of keys and indices, set to
-    `value`; the empty path replaces the whole document."""
+    `value`, or deleted if it is _MISSING; the empty path replaces the
+    whole document."""
     if not path:
         return value
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is _MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     return doc
 
 
@@ -241,18 +261,16 @@ class TestPipeline:
                     "--features", world["features"],
                     "--splits", world["splits"],
                     "--checkpoint", str(full_grid_ckpt),
-                    "--task", "pointing", "--out", str(out)) == 0
-        assignment = datamodel.read_splits(world["splits"]).assignment
-        expected = {f"{r.qa_id}.pgm" for r in
-                    datamodel.parse_corpus(world["corpus"]).records
-                    if r.kind == "pointing" and assignment[r.qa_id] == "test"}
+                    "--out", str(out)) == 0
         pgms = [n for n in os.listdir(out) if n.endswith(".pgm")]
-        assert expected and set(pgms) == expected
-        with open(out / pgms[0], "rb") as f:
-            assert f.read(2) == b"P5"
+        assert pgms
+        for name in pgms:
+            with open(out / name, "rb") as f:
+                assert f.read(2) == b"P5"
 
     def test_heatmap_maps_the_test_split(self, world, full_grid_ckpt,
                                          tmp_path):
+        """One map per record of the test split, of either kind."""
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
                     "--splits", world["splits"],
@@ -308,15 +326,21 @@ class TestPipeline:
                 out / "config.echo.txt").read_text().splitlines()
         assert "# splits=default:0\n" in (rep / "report.txt").read_text()
 
-    def test_heatmap_without_splits_is_usage_error(self, world, trained_run,
-                                                   tmp_path, capsys):
-        """heatmap maps the test split only; it never maps every record."""
+    def test_heatmap_maps_the_default_test_split(self, world, full_grid_ckpt,
+                                                 tmp_path):
+        """Without --splits, heatmap maps the test records of
+        make_splits(corpus, --splits-seed), the ones eval scores."""
+        out = tmp_path / "o"
         assert _run("heatmap", "--corpus", world["corpus"],
                     "--features", world["features"],
-                    "--checkpoint", str(trained_run / "model.ckpt"),
-                    "--out", str(tmp_path / "o")) == 1
-        assert "--splits is required" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+                    "--checkpoint", str(full_grid_ckpt),
+                    "--out", str(out)) == 0
+        assignment = datamodel.make_splits(
+            datamodel.parse_corpus(world["corpus"]), 0).assignment
+        assert {n for n in os.listdir(out) if n.endswith(".pgm")} == {
+            f"{q}.pgm" for q, split in assignment.items() if split == "test"}
+        assert "splits=default:0" in (
+            out / "config.echo.txt").read_text().splitlines()
 
     def test_init_params_freed_before_the_first_step(self, world, tmp_path,
                                                      monkeypatch):
@@ -426,7 +450,17 @@ class TestPipeline:
         ((("qa_pairs", 0, "groundings"), [5]),
          "record 't00000': groundings[0] must be a JSON object"),
         ((("images", 0, "width"), math.nan),
-         "image 'imgt00000': width must be a JSON number")])
+         "image 'imgt00000': width must be a JSON number"),
+        ((("qa_pairs", 3, "qa_id"), _MISSING),
+         "qa_pairs[3]: missing field 'qa_id'"),
+        ((("qa_pairs", 3, "question"), _MISSING),
+         "qa_pairs[3], record 't00003': missing field 'question'"),
+        ((("images", 2, "width"), _MISSING),
+         "images[2], image 'imgt00002': missing field 'width'"),
+        ((("qa_pairs", 0, "groundings"), [{"grounding_id": "g0",
+                                           "name": "cup"}]),
+         "qa_pairs[0].groundings[0], record 't00000': missing field 'box'"),
+        ((("images",), _MISSING), "corpus.json: missing field 'images'")])
     def test_corpus_shape_error_names_the_field(self, world, tmp_path, capsys,
                                                 edit, named):
         with open(world["corpus"]) as f:

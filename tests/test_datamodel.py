@@ -293,6 +293,28 @@ class TestValidate:
                  groundings=[ObjectGrounding(i, "mug", _box(0, 0, 5, 5))
                              for i in ids]).validate()
 
+    def test_duplicate_grounding_id_in_pointing_record(self):
+        """A candidate whose id names two boxes is ambiguous."""
+        ids = ["g0", "g1", "g2", "g3"]
+        groundings = [ObjectGrounding(i, "mug", _box(0, 0, 5, 5))
+                      for i in ids]
+        groundings.append(ObjectGrounding("g0", "cup", _box(6, 6, 2, 2)))
+        rec = QARecord(qa_id="p0", image_id="im", kind="pointing",
+                       category="which", question="which one ?",
+                       answer=ids[0], distractors=ids[1:],
+                       groundings=groundings)
+        with pytest.raises(CorpusError,
+                           match="p0: duplicate grounding id 'g0'"):
+            rec.validate()
+
+    def test_duplicate_grounding_id_in_telling_record(self):
+        rec = _telling(qa_id="t7")
+        rec.groundings = [ObjectGrounding("g1", name, _box(0, 0, 5, 5))
+                          for name in ("cat", "dog")]
+        with pytest.raises(CorpusError,
+                           match="t7: duplicate grounding id 'g1'"):
+            rec.validate()
+
 
 class TestParseCorpus:
     def test_empty_records(self, tmp_path):

@@ -14,10 +14,9 @@ from groundedqa import datamodel, featurestore, qamodel, synthdata
 from groundedqa.binfmt import FormatError
 from groundedqa.numkit import NumericsError, finite_diff_grad_check
 from groundedqa.qamodel import (LEARNED, UNIFORM, ModelConfig, attention_step,
-                                encode, init_params, lstm_step,
-                                load_checkpoint, param_shapes, predict_mc,
-                                save_checkpoint, telling_answer_loglik,
-                                zero_grads)
+                                encode, init_params, load_checkpoint,
+                                param_shapes, predict_mc, save_checkpoint,
+                                telling_answer_loglik, zero_grads)
 
 import lstm_reference
 from conftest import (MICRO_DIMS, tiny_packs, tiny_pointing_record,
@@ -133,6 +132,14 @@ class TestAttentionStep:
         assert np.max(np.abs(r - r_hand)) < 1e-12
 
 
+def _lstm_step(v, h_prev, c_prev, r, params):
+    """`qamodel._cell` at the pre-activations of the stacked weights."""
+    pre = (params["Wv"] @ v + params["Wh"] @ h_prev + params["Wr"] @ r
+           + params["b_gates"])
+    h, c, _ = qamodel._cell(pre, c_prev)
+    return h, c
+
+
 class TestLstmStep:
     def _zero_params(self, hidden=2, channels=2):
         cfg = ModelConfig(hidden=hidden, d_a=hidden, vocab_size=3,
@@ -141,8 +148,8 @@ class TestLstmStep:
 
     def test_all_zero(self):
         params = self._zero_params()
-        h, c = lstm_step(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
-                         params)
+        h, c = _lstm_step(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                          params)
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_memory_passthrough(self):
@@ -150,8 +157,8 @@ class TestLstmStep:
         params["b_gates"][_rows("f", 2)] = 20.0   # f-gate ~ 1
         params["b_gates"][_rows("i", 2)] = -20.0  # i-gate ~ 0
         c_prev = np.array([0.7, -1.2])
-        _, c = lstm_step(np.zeros(2), np.zeros(2), c_prev, np.zeros(2),
-                         params)
+        _, c = _lstm_step(np.zeros(2), np.zeros(2), c_prev, np.zeros(2),
+                          params)
         assert np.max(np.abs(c - c_prev)) < 1e-6
 
     def test_hand_oracle_two_units(self):
@@ -163,7 +170,7 @@ class TestLstmStep:
         h_prev = np.array([0.2, 0.4])
         c_prev = np.array([-0.3, 0.1])
         r = np.array([0.5, -0.5])
-        h, c = lstm_step(v, h_prev, c_prev, r, params)
+        h, c = _lstm_step(v, h_prev, c_prev, r, params)
 
         for unit in range(2):
             pre = {}
@@ -215,9 +222,10 @@ class TestEncode:
         c = np.zeros(cfg.hidden)
         vs = [params["W_img"] @ feat + params["b_img"]] \
             + [params["W_word"][:, t] for t in tokens]
+        per_gate = lstm_reference.split_gates(params)
         for v in vs:
             _, r = attention_step(h, conv, params, mode=LEARNED)
-            h, c = lstm_step(v, h, c, r, params)
+            h, c, _ = lstm_reference._lstm_fwd(v, h, c, r, per_gate)
         assert np.max(np.abs(state.h - h)) < 1e-12
         assert np.max(np.abs(state.c - c)) < 1e-12
 
@@ -293,8 +301,9 @@ class TestTelling:
         p1 = np.exp(params["W_out"] @ state.h + params["b_out"])
         p1 /= p1.sum()
         _, r = attention_step(state.h, conv, params, mode=LEARNED)
-        h2, _ = lstm_step(params["W_word"][:, tok], state.h, state.c, r,
-                          params)
+        h2, _, _ = lstm_reference._lstm_fwd(
+            params["W_word"][:, tok], state.h, state.c, r,
+            lstm_reference.split_gates(params))
         p2 = np.exp(params["W_out"] @ h2 + params["b_out"])
         p2 /= p2.sum()
         expected = math.log(p1[tok]) + math.log(p2[qamodel.END_INDEX])
