@@ -122,12 +122,18 @@ def _load_model(cfg: RunConfig):
     return params, mc, vocab
 
 
+def _write_text(cfg: RunConfig, name, lines, echo=()):
+    """Write --out/<name>: `echo` as `# key=value` rows, then `lines`."""
+    with open(os.path.join(cfg.out, name), "w") as f:
+        f.writelines(f"{line}\n" for line in
+                     [*(f"# {e}" for e in echo), *lines])
+
+
 def _prepare_out(cfg: RunConfig):
     os.makedirs(cfg.out, exist_ok=True)
     echo = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
             if getattr(cfg, f.name) is not None]
-    with open(os.path.join(cfg.out, "config.echo.txt"), "w") as f:
-        f.write("\n".join(echo) + "\n")
+    _write_text(cfg, "config.echo.txt", echo)
     with open(os.path.join(cfg.out, "run.log"), "a") as f:
         f.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {cfg.command}\n")
     return echo
@@ -145,12 +151,13 @@ def _require(cfg: RunConfig, *names):
 
 def _open_run(cfg: RunConfig, split):
     """
-    The corpus, the records of `split` and the `featurestore.PackFiles` of
-    their images; a split that selects no record is a ValidationError.
-    Without --splits, the split is `datamodel.make_splits(corpus,
-    --splits-seed)`. Each pack is read and checked here, then dropped: it
-    must hold its image and the region of every pointing candidate of its
-    records. Writes nothing: the caller prepares --out once this returns.
+    The records of `split`, the `featurestore.PackFiles` of their images
+    and the echo of --out, which it prepares once every input checks out.
+    A split that selects no record is a ValidationError. Without --splits,
+    the split is `datamodel.make_splits(corpus, --splits-seed)` and the
+    echo says splits=default:<seed>. Each pack is read and checked, then
+    dropped: it must hold its image and the region of every pointing
+    candidate of its records.
     """
     _require(cfg, "corpus", "features")
     corpus = datamodel.parse_corpus(cfg.corpus)
@@ -174,13 +181,7 @@ def _open_run(cfg: RunConfig, split):
                     raise ValidationError(
                         f"{packs.paths[image_id]}: no region feature for "
                         f"{rid!r}, a candidate of record {rec.qa_id}")
-    return corpus, records, packs
-
-
-def _prepare_run_out(cfg: RunConfig):
-    """`_prepare_out` for a run over a split; without --splits the echo
-    says splits=default:<seed>."""
-    return _prepare_out(replace(
+    return records, packs, _prepare_out(replace(
         cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
 
 
@@ -213,8 +214,7 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    _, records, packs = _open_run(cfg, split="train")
-    echo = _prepare_run_out(cfg)
+    records, packs, echo = _open_run(cfg, split="train")
     vocab = datamodel.build_vocab(records)
     mc = _model_config(cfg, vocab.size)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
@@ -226,24 +226,20 @@ def _cmd_train(cfg: RunConfig) -> int:
         mc, tc)
     qamodel.save_checkpoint(params, mc, vocab,
                             os.path.join(cfg.out, "model.ckpt"))
-    with open(os.path.join(cfg.out, "loss_curve.txt"), "w") as f:
-        for line in echo:
-            f.write(f"# {line}\n")
-        for epoch, loss in enumerate(curve):
-            f.write(f"{epoch}\t{loss:.10f}\n")
+    _write_text(cfg, "loss_curve.txt",
+                (f"{epoch}\t{loss:.10f}" for epoch, loss in enumerate(curve)),
+                echo)
     return EXIT_OK
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     params, mc, vocab = _load_model(cfg)
-    _, records, packs = _open_run(cfg, split="test")
-    echo = _prepare_run_out(cfg)
+    records, packs, echo = _open_run(cfg, split="test")
     outcomes = [o if isinstance(o, Exception) else o[0] for o in
                 qamodel.predict_batch(records, packs, params, vocab, mc)]
     report = evalkit.tally(records, outcomes)
-    with open(os.path.join(cfg.out, "report.txt"), "w") as f:
-        f.write(report.to_text(header_lines=echo))
+    _write_text(cfg, "report.txt", report.lines(), echo)
     if report.errors:
         qa_id, msg = report.errors[0]
         raise ValidationError(
@@ -264,7 +260,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
     vocab = datamodel.build_vocab(corpus.records)
     mc = _model_config(cfg, vocab.size)
     params = qamodel.init_params(mc, cfg.seed)
-    worst = 0.0
+    rows, worst = [], 0.0
     for rec in corpus.records:
         pack = packs[rec.image_id]
         loss_fn, grad_fn = qamodel.gradcheck_fns(mc, rec, pack, vocab)
@@ -272,11 +268,11 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         worst = max(worst, result.max_rel_error)
         print(f"{rec.qa_id}: max relative error {result.max_rel_error:.3e} "
               f"({result.worst_param})")
+        rows.append(f"{rec.qa_id}\t{result.max_rel_error:.6e}\t"
+                    f"{result.worst_param}")
     print(f"overall max relative error {worst:.3e}")
-    with open(os.path.join(cfg.out, "gradcheck.txt"), "w") as f:
-        for line in echo:
-            f.write(f"# {line}\n")
-        f.write(f"max_rel_error\t{worst:.6e}\n")
+    _write_text(cfg, "gradcheck.txt", [*rows, f"max_rel_error\t{worst:.6e}"],
+                echo)
     if worst >= 1e-4:
         raise NumericsError(f"gradient check failed: {worst:.3e} >= 1e-4")
     return EXIT_OK
@@ -288,20 +284,17 @@ def _cmd_stats(cfg: RunConfig) -> int:
     echo = _prepare_out(cfg)
     stats = datamodel.corpus_stats(corpus)
     bins = datamodel.object_frequency_bins(corpus.records)
-    with open(os.path.join(cfg.out, "stats.txt"), "w") as f:
-        for line in echo:
-            f.write(f"# {line}\n")
-        f.write(f"avg_q_len\t{stats.avg_q_len:.4f}\t{stats.sd_q_len:.4f}\n")
-        f.write(f"avg_a_len\t{stats.avg_a_len:.4f}\t{stats.sd_a_len:.4f}\n")
-        f.write(f"long_answer_frac\t{stats.long_answer_frac:.4f}\n")
-        f.write(f"top_1000_coverage\t{stats.top_1000_coverage:.4f}\n")
-        for k in (1, 2, 3):
-            f.write(f"answer_len_{k}\t{stats.answer_len_hist[k]:.4f}\n")
-        f.write(f"n_telling\t{stats.n_telling}\n")
-        f.write(f"n_pointing\t{stats.n_pointing}\n")
-        for ub in sorted(bins):
-            names = ",".join(sorted(bins[ub]))
-            f.write(f"freq_bin_{ub}\t{names}\n")
+    _write_text(cfg, "stats.txt", [
+        f"avg_q_len\t{stats.avg_q_len:.4f}\t{stats.sd_q_len:.4f}",
+        f"avg_a_len\t{stats.avg_a_len:.4f}\t{stats.sd_a_len:.4f}",
+        f"long_answer_frac\t{stats.long_answer_frac:.4f}",
+        f"top_1000_coverage\t{stats.top_1000_coverage:.4f}",
+        *(f"answer_len_{k}\t{stats.answer_len_hist[k]:.4f}"
+          for k in (1, 2, 3)),
+        f"n_telling\t{stats.n_telling}",
+        f"n_pointing\t{stats.n_pointing}",
+        *(f"freq_bin_{ub}\t{','.join(sorted(bins[ub]))}"
+          for ub in sorted(bins))], echo)
     return EXIT_OK
 
 
@@ -313,13 +306,11 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
             f"checkpoint {cfg.checkpoint} reads {mc.conv_cells} conv cells; "
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
-    corpus, records, packs = _open_run(cfg, split="test")
-    _prepare_run_out(cfg)
-    dims = {image_id: (w, h) for image_id, w, h in corpus.images}
+    records, packs, _ = _open_run(cfg, split="test")
     for rec in records:
         trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
                                         vocab, mc)
-        heatmap = evalkit.attention_heatmap(trace, *dims[rec.image_id])
+        heatmap = evalkit.attention_heatmap(trace)
         evalkit.export_heatmap_image(
             heatmap, os.path.join(cfg.out, f"{rec.qa_id}.pgm"))
     return EXIT_OK

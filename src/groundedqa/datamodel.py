@@ -405,9 +405,9 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
 def object_frequency_bins(records) -> dict:
     """
-    Bin grounded object categories by training frequency into power-of-two
-    bins: frequency f with 2^b <= f < 2^(b+1) lands in the bin keyed by its
-    upper bound 2^(b+1).
+    Bin grounded object categories by their frequency in `records` into
+    power-of-two bins: frequency f with 2^b <= f < 2^(b+1) lands in the bin
+    keyed by its upper bound 2^(b+1).
     """
     counts = Counter()
     for rec in records:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datamodel
-from .datamodel import CATEGORIES
+from .datamodel import CATEGORIES, TELLING_CATEGORIES
 
 
 @dataclass
@@ -22,9 +22,9 @@ class EvalReport:
     total: int
     errors: list = field(default_factory=list)  # (qa_id, message)
 
-    def to_text(self, header_lines=()) -> str:
-        lines = [f"# {h}" for h in header_lines]
-        lines.append("category\tcount\taccuracy")
+    def lines(self) -> list:
+        """The table's rows; `cli` writes the run's echo above them."""
+        lines = ["category\tcount\taccuracy"]
         for cat in CATEGORIES:
             if cat in self.per_category:
                 lines.append(f"{cat}\t{self.counts[cat]}\t"
@@ -34,7 +34,7 @@ class EvalReport:
         lines.append(f"overall\t{self.total}\t{self.overall:.4f}")
         for qa_id, msg in self.errors:
             lines.append(f"# error\t{qa_id}\t{msg}")
-        return "\n".join(lines) + "\n"
+        return lines
 
 
 def evaluate(predict_fn, records, packs) -> EvalReport:
@@ -55,33 +55,25 @@ def tally(records, outcomes) -> EvalReport:
     """
     The report of `outcomes[i]`, the candidate index chosen for
     `records[i]` or the exception that failed it. Failures count as wrong
-    and are reported, never silently skipped.
+    and are reported, never silently skipped. A record's category fixes its
+    kind, so telling, pointing and overall are rates over categories.
     """
-    correct = Counter()
-    counts = Counter()
-    kind_correct = Counter()
-    kind_counts = Counter()
-    errors = []
+    correct, counts, errors = Counter(), Counter(), []
     for rec, chosen in zip(records, outcomes, strict=True):
         _, target = datamodel.mc_candidates(rec)
         counts[rec.category] += 1
-        kind_counts[rec.kind] += 1
         if isinstance(chosen, Exception):
             errors.append((rec.qa_id, f"{type(chosen).__name__}: {chosen}"))
-            continue
-        if chosen == target:
+        elif chosen == target:
             correct[rec.category] += 1
-            kind_correct[rec.kind] += 1
-    total = sum(counts.values())
-    per_category = {c: correct[c] / counts[c] for c in counts}
-    def _rate(kind):
-        return kind_correct[kind] / kind_counts[kind] if kind_counts[kind] \
-            else 0.0
+    def _rate(categories):
+        n = sum(counts[c] for c in categories)
+        return sum(correct[c] for c in categories) / n if n else 0.0
     return EvalReport(
-        per_category=per_category, counts=dict(counts),
-        telling=_rate("telling"), pointing=_rate("pointing"),
-        overall=(sum(correct.values()) / total) if total else 0.0,
-        total=total, errors=errors)
+        per_category={c: correct[c] / counts[c] for c in counts},
+        counts=dict(counts), telling=_rate(TELLING_CATEGORIES),
+        pointing=_rate(("which",)), overall=_rate(CATEGORIES),
+        total=sum(counts.values()), errors=errors)
 
 
 @dataclass
@@ -106,7 +98,7 @@ class HeatMap:
                 (row + 0.5) / side * self.image_height)
 
 
-def attention_heatmap(trace, image_width=0, image_height=0) -> HeatMap:
+def attention_heatmap(trace) -> HeatMap:
     """Max-pool the attention trace over time onto the square grid."""
     if not trace:
         raise ValueError("empty attention trace")
@@ -115,8 +107,7 @@ def attention_heatmap(trace, image_width=0, image_height=0) -> HeatMap:
     side = int(round(np.sqrt(pooled.size)))
     if side * side != pooled.size:
         raise ValueError(f"trace length {pooled.size} is not a square grid")
-    return HeatMap(grid=pooled.reshape(side, side),
-                   image_width=image_width, image_height=image_height)
+    return HeatMap(grid=pooled.reshape(side, side))
 
 
 def _point_in_box(px, py, box) -> bool:

@@ -864,6 +864,14 @@ class TestGradcheck:
         assert "overall max relative error" in capsys.readouterr().out
         text = (tmp_path / "gc" / "gradcheck.txt").read_text()
         assert "max_rel_error" in text
+        # one row per synthesized record: qa id, its error, worst tensor
+        rows = [line.split("\t") for line in text.splitlines()
+                if not line.startswith(("#", "max_rel_error"))]
+        names = qamodel.param_shapes(qamodel.ModelConfig.micro())
+        assert len(rows) == 4
+        assert len({qa_id for qa_id, _, _ in rows}) == 4
+        for qa_id, error, worst in rows:
+            assert float(error) < 1e-4 and worst in names
 
     def test_full_preset_is_usage_error(self, tmp_path, capsys):
         assert _run("gradcheck", "--preset", "full",

@@ -72,6 +72,24 @@ class TestEvaluate:
         assert report.overall == 7 / 8
         assert len(report.errors) == 1 and report.errors[0][0] == "t0"
 
+    @pytest.mark.parametrize("kind", ["telling", "pointing"])
+    def test_absent_kind_reads_zero(self, kind):
+        records = [r for r in self._records() if r.kind == kind]
+        failed = records[0].qa_id
+        def predict(rec, pack):
+            if rec.qa_id == failed:
+                raise RuntimeError("boom")
+            return datamodel.mc_candidates(rec)[1]
+        report = evaluate(predict, records, {"im": None})
+        present = (len(records) - 1) / len(records)
+        absent = "pointing" if kind == "telling" else "telling"
+        assert getattr(report, kind) == present
+        assert getattr(report, absent) == 0.0
+        assert report.overall == present
+        rows = [line.split("\t")[0] for line in report.lines()]
+        assert "telling" in rows and "pointing" in rows
+        assert report.errors[0][0] == failed
+
 
 class TestAttentionHeatmap:
     def test_single_step(self):

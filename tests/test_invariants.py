@@ -154,6 +154,27 @@ def test_records_are_tokenized_in_one_place():
     assert found == allowed, sorted(found ^ allowed)
 
 
+def test_cli_opens_files_in_one_place():
+    """
+    In `cli` only `_write_text` and `_prepare_out`, for its append to
+    `run.log`, call `open`: every text file a command writes goes through
+    `_write_text`, which owns the `# key=value` header.
+    """
+    allowed = {"_write_text", "_prepare_out"}
+    found = set()
+    stack = [(_tree(SRC / "cli.py"), ())]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope += (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            found.add(".".join(scope))
+        stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    assert found == allowed, sorted(found ^ allowed)
+
+
 def _load_by_path(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
