@@ -43,7 +43,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-ADAM_CHUNK = 1 << 14  # elements per pass of adam_step over its vectors
+ADAM_CHUNK = 1 << 16  # elements per pass of adam_step over its vectors
 
 
 @dataclass
@@ -144,6 +144,9 @@ def finite_diff_grad_check(loss_fn, grad_fn,
     loss_fn(params) -> scalar; grad_fn(params) -> dict of arrays matching
     `params` (a dict name -> float64 array). Returns the max over all scalar
     parameters of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    A non-finite analytic gradient, or a non-finite loss at a perturbed
+    point, raises NumericsError naming the tensor and flat index: no
+    relative error can rank it.
     """
     analytic = grad_fn(params)
     result = GradCheckResult(max_rel_error=0.0)
@@ -153,6 +156,10 @@ def finite_diff_grad_check(loss_fn, grad_fn,
         if g.shape != p.shape:
             raise DimensionError(f"gradient shape {g.shape} != param {p.shape} "
                                  f"for {name}")
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise NumericsError(f"non-finite analytic gradient "
+                                f"{name}[{bad[0]}]")
         flat = p.ravel()
         for i in range(flat.size):
             orig = flat[i]

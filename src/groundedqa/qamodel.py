@@ -21,8 +21,12 @@ head gradient, so their gate-gradient rows are exactly zero. Backward
 takes each weight gradient once per pass: `Wv`, `Wh`, `Wr` and `b_gates`
 from the stacked (T*B, 4h) gate gradients, `W_img` and `W_ptr` from one
 GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
-It keeps no (T, B, cells, d_a) attention cache: each step's attention tanh
-is recomputed from the projection and that step's hidden state. `train`
+Forward attention (`_attention`) builds each step's tanh one block of maps
+at a time in one scratch of at most ATTEND_BYTES, which at paper scale
+holds 2 maps and stays in L2 cache; at micro scale one block holds every
+map. Backward keeps no (T, B, cells, d_a) attention cache: each step's
+attention tanh is recomputed from the projection and that step's hidden
+state (`_attention_tanh`). `train`
 runs one pass per PASS_RECORDS records of a batch, so memory does not grow
 with the batch. Every training and prediction pass gets its records'
 features from `_gather`, which copies them into the pass's stacked arrays
@@ -30,13 +34,18 @@ and drops each pack, so a run holds no more packs than it is using. A
 record keeps its copies when PASS_RECORDS of them fit in the room of its
 pack (micro scale on full-scale packs), and training reads that pack once.
 
-Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too:
-one encoder pass over their images and questions, then each telling
-record's 4 candidate answers are decoded in one 4-row pass from its final
-state, whose rows share the record's conv map and attention projection as
-a (1, cells, .) view, and one pointing head scores every pointing record's
-candidates. `predict_mc`, `encode`, `telling_answer_loglik`, the
-single-record losses and `attention_trace` run at B = 1.
+Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too.
+A pass holds its telling records first, so their conv maps and
+projections are a prefix view of the pass's arrays, and maps outcomes
+back to input order. One encoder pass reads every image and question.
+One decode (`_answer_logliks`) then scores every telling candidate of the
+pass: a record's 4 candidates are 4 consecutive rows that its map serves.
+They share step 0, so attention, the `Wh` and `Wr` products and the head
+at the encoder's final state run once per record there; only each
+token's `Wv` input differs, and later tokens run as 4 rows per map. One
+pointing head scores every pointing record's candidates. `predict_mc`,
+`encode`, `telling_answer_loglik`, the single-record losses and
+`attention_trace` run at B = 1.
 
 Every public loss function sets `grads` to its gradients, whatever it
 held; only the later passes of a `batch_loss_and_grads` call add.
@@ -82,6 +91,7 @@ GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
 _STACKED = ("Wv", "Wh", "Wr")
 END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
 PASS_RECORDS = 8  # records per pass: memory does not grow with the batch
+ATTEND_BYTES = 1 << 20  # attention tanh built at once: 2 maps at paper scale
 
 
 @dataclass
@@ -124,23 +134,28 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float64) -> dict:
     Uniform[-s, s] weights with s = 1/sqrt(fan_in); zero biases. Each gate
     block of a stacked weight is drawn on its own, with its own fan-in, in
     the sorted order of the per-gate names (Wh_f, Wh_g, Wh_i, ...), so a
-    seed gives the same weights as a model with one tensor per gate. Blocks
-    are drawn in float64 and stored in `dtype`.
+    seed gives the same weights as a model with one tensor per gate. The
+    params are the `param_views` of one flat vector in `dtype`; each block
+    is drawn in float64 into one reused scratch, as -s + 2s * U[0, 1), the
+    bits of `rng.uniform(-s, s)`, and then stored.
     """
     rng = np.random.default_rng(seed)
     h = cfg.hidden
-    params = {name: np.zeros(shape, dtype)
-              for name, shape in param_shapes(cfg).items()}
+    params = param_views(np.zeros(param_count(cfg), dtype), cfg)
     blocks = {name: arr for name, arr in params.items()
               if not name.startswith("b")}
     for name in _STACKED:
         stacked = blocks.pop(name)
         for k, x in enumerate(GATES):
             blocks[f"{name}_{x}"] = stacked[k * h:(k + 1) * h]
+    scratch = np.empty(max(block.size for block in blocks.values()))
     for name in sorted(blocks):
         block = blocks[name]
         s = 1.0 / np.sqrt(block.shape[-1])
-        block[...] = rng.uniform(-s, s, size=block.shape)
+        draw = rng.random(out=scratch[:block.size])
+        draw *= 2 * s
+        draw += -s
+        block[...] = draw.reshape(block.shape)
     return params
 
 
@@ -207,8 +222,7 @@ def attention_step(h_prev, conv_map, params, mode=LEARNED):
         raise DimensionError(
             f"W_he {params['W_he'].shape} vs h {h_prev.shape}")
     conv = conv_map[None]
-    proj = _project(conv, params)
-    a, r = _attend(h_prev[None], conv, proj, params, np.empty_like(proj))
+    a, r = _attention(conv, _project(conv, params), params)(h_prev[None])
     return a[0], r[0]
 
 
@@ -235,12 +249,37 @@ def _attention_tanh(h, proj, params, out):
     return np.tanh(out, out=out)
 
 
-def _attend(h, conv, proj, params, buf):
-    """(B, cells) attention weights and (B, channels) contexts at the
-    hidden states h (B, hidden); `buf` holds the attention tanh."""
-    u = _attention_tanh(h, proj, params, buf)
-    a = softmax_rows(u @ params["w_a"] + params["b_a"][0])
-    return a, (a[:, None] @ conv)[:, 0]
+def _attention(conv, proj, params, k=1):
+    """
+    Learned attention over the M maps of conv (M, cells, channels), whose
+    projection is proj, each serving k consecutive rows: a function of the
+    hidden states h (M*k, hidden) that returns their weights (M*k, cells)
+    and contexts (M*k, channels). Built once per pass. It builds the tanh
+    one block of maps at a time, in one scratch of at most ATTEND_BYTES
+    (or one map's k rows, if larger), and reads each block once.
+    """
+    M, cells, d_a = proj.shape
+    per = max(1, ATTEND_BYTES // (k * cells * d_a * proj.itemsize))
+    W_he, w_a, b_a = params["W_he"], params["w_a"], params["b_a"][0]
+    e_t = np.empty((d_a, M * k), W_he.dtype)  # h @ W_he.T, transposed
+    e = e_t.T.reshape(M, k, 1, d_a)
+    tanh = np.empty((min(per, M), k, cells, d_a), proj.dtype)
+    scores = np.empty((M, k, cells), proj.dtype)
+    blocks = [(proj[lo:lo + per, None], e[lo:lo + per],
+               tanh[:min(per, M - lo)], scores[lo:lo + per])
+              for lo in range(0, M, per)]
+    rows, channels = scores.reshape(M * k, cells), conv.shape[2]
+
+    def attend(h):
+        np.matmul(W_he, h.T, out=e_t)
+        for p, e_b, u, s in blocks:
+            np.add(p, e_b, out=u)
+            np.tanh(u, out=u)
+            np.matmul(u, w_a, out=s)
+        a = softmax_rows(rows + b_a)
+        return a, (a.reshape(M, k, cells) @ conv).reshape(-1, channels)
+
+    return attend
 
 
 def _cell(pre, c_prev):
@@ -283,12 +322,14 @@ def _pad(sequences):
 def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
              proj=None):
     """
-    Run the cell over B records: each reads its image feature `feat[b]`
-    (when given), then its `lengths[b]` tokens of `ids[b]`, from the state
-    (h0[b], c0[b]) or zeros. `proj` is the attention projection of `conv`
-    if the caller already has it; both may be one (1, cells, .) map that
-    every record shares. Buffers take the params' dtype, so the pass can
-    run in extended precision.
+    Run the cell over B rows: row b reads its image feature `feat[b]` (when
+    given), then its `lengths[b]` tokens of `ids[b]`. Map m of conv (M,
+    cells, channels) serves the k = B / M consecutive rows [m*k, (m+1)*k),
+    which start from the state (h0[m], c0[m]), or zeros. `proj` is the
+    attention projection of `conv` if the caller already has it. A map's k
+    rows share their state at step 0, so when k > 1 that step's `Wh` and
+    `Wr` products and attention run once per map. Buffers take the params'
+    dtype, so the pass can run in extended precision.
     """
     W_word = params["W_word"]
     bad = ids[(ids < 0) | (ids >= W_word.shape[1])]
@@ -300,6 +341,8 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
         V = np.concatenate(
             [(_by_t(feat, params["W_img"]) + params["b_img"])[None], V])
     T, B, n = V.shape
+    M, cells, channels = conv.shape
+    k = B // M
     dtype = V.dtype
     Wh, Wr = params["Wh"], params["Wr"]
     # the input side of every step, in one GEMM
@@ -308,22 +351,33 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
     H = np.zeros((T + 1, B, n), dtype)
     C = np.zeros((T + 1, B, n), dtype)
     if h0 is not None:
-        H[0], C[0] = h0, c0
+        H[0], C[0] = np.repeat(h0, k, axis=0), np.repeat(c0, k, axis=0)
     G = np.empty((T, B, 4 * n), dtype)
-    A = np.empty((T, B, conv.shape[1]), dtype)
-    R = np.empty((T, B, conv.shape[2]), dtype)
-    if mode == UNIFORM:
-        A[:], R[:] = _uniform_attention(conv)
-        X += _by_t(R[0], Wr)  # the context never changes
-    else:
+    A = np.empty((T, B, cells), dtype)
+    R = np.empty((T, B, channels), dtype)
+    learned = mode == LEARNED
+    if learned:
         if proj is None:
             proj = _project(conv, params)
-        # B rows even when every row shares one (1, cells, d_a) projection
-        buf = np.empty((B,) + proj.shape[1:], proj.dtype)
-    for t in range(T):
+        attend = _attention(conv, proj, params, k)
+    else:
+        A[:], r = _uniform_attention(conv)
+        R[:] = np.repeat(r, k, axis=0)
+        X += _by_t(R[0], Wr)  # the context never changes
+    first = 0
+    if k > 1:  # step 0 from each map's one state
+        h = H[0, ::k]
+        pre = X[0].reshape(M, k, 4 * n) + _by_t(h, Wh)[:, None]
+        if learned:
+            a, r = _attention(conv, proj, params)(h)
+            A[0], R[0] = np.repeat(a, k, axis=0), np.repeat(r, k, axis=0)
+            pre += _by_t(r, Wr)[:, None]
+        H[1], C[1], G[0] = _cell(pre.reshape(B, 4 * n), C[0])
+        first = 1
+    for t in range(first, T):
         pre = X[t] + _by_t(H[t], Wh)
-        if mode == LEARNED:
-            A[t], R[t] = _attend(H[t], conv, proj, params, buf)
+        if learned:
+            A[t], R[t] = attend(H[t])
             pre += _by_t(R[t], Wr)
         H[t + 1], C[t + 1], G[t] = _cell(pre, C[t])
     return _Pass(feat=feat, ids=ids, lengths=lengths, conv=conv, proj=proj,
@@ -368,11 +422,12 @@ def encode(pack, question_tokens, params, cfg) -> EncoderState:
                         proj=run.proj)
 
 
-def _answer_head(params, hs, targets):
-    """Vocabulary softmax at each row of hs -> (probs, log p(target))."""
+def _answer_head(params, hs, targets, src=None):
+    """Vocabulary softmax at each row of hs -> (probs, log p(target)), each
+    target read at its row src[i] of hs (by default row i)."""
     probs = softmax_rows(hs @ params["W_out"].T + params["b_out"])
-    picked = probs[np.arange(len(targets)), targets]
-    return probs, np.log(np.maximum(picked, 1e-12))
+    src = np.arange(len(targets)) if src is None else src
+    return probs, np.log(np.maximum(probs[src, targets], 1e-12))
 
 
 def _pointing_head(params, F, h):
@@ -389,26 +444,32 @@ def _pointing_head(params, F, h):
     return transformed, (transformed @ h[:, :, None])[:, :, 0]
 
 
-def _answer_logliks(params, mode, conv, proj, h, c, answers) -> list:
+def _answer_logliks(params, mode, conv, proj, h, c, answers):
     """
     For each answer (token id lists), the sum of log-probabilities of its
-    tokens plus the end token, decoded from the state (h, c) that continues
-    the same attended cell. One pass decodes them all; its rows share the
-    (1, cells, .) conv map and projection. No length normalization.
+    tokens plus the end token, no length normalization. Answers [m*k,
+    (m+1)*k), with k = len(answers) / M, continue the attended cell of map
+    m of conv (M, cells, channels) from its state (h[m], c[m]); `proj` is
+    the maps' projection, or None. One pass decodes them all, and a map's
+    answers share their first step and the head at h[m].
     """
     ids, lengths = _pad(answers)
-    k, n = len(answers), h.shape[0]
-    run = _forward(params, conv, ids, lengths, mode,
-                   h0=np.broadcast_to(h, (k, n)),
-                   c0=np.broadcast_to(c, (k, n)), proj=proj)
+    run = _forward(params, conv, ids, lengths, mode, h0=h, c0=c, proj=proj)
     # the state before each answer token, and after the last, predicts it
-    # and then END
-    steps = np.concatenate([np.arange(m + 1) for m in lengths])
-    rows = np.repeat(np.arange(k), lengths + 1)
-    _, logp = _answer_head(params, run.H[steps, rows],
-                           np.concatenate([a + [END_INDEX] for a in answers]))
-    ends = np.cumsum(lengths + 1)
-    return [logp[end - m - 1:end].sum() for m, end in zip(lengths, ends)]
+    # and then END: for the first token that is h[m], row b // k of the
+    # head's rows, and for the rest the answer's states after its tokens
+    k = len(answers) // len(h)
+    src, firsts, later = [], [], len(h)
+    for b, m in enumerate(lengths):
+        firsts.append(len(src))
+        src += [b // k, *range(later, later + m)]
+        later += m
+    steps = np.concatenate([np.arange(1, m + 1) for m in lengths])
+    rows = np.repeat(np.arange(len(answers)), lengths)
+    _, logp = _answer_head(params, np.concatenate([h, run.H[steps, rows]]),
+                           np.concatenate([a + [END_INDEX] for a in answers]),
+                           src)
+    return np.add.reduceat(logp, firsts)
 
 
 def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
@@ -419,7 +480,7 @@ def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:
     if not answer_tokens:
         raise ValueError("empty answer sequence")
     return float(_answer_logliks(params, state.mode, state.conv[None],
-                                 state.proj, state.h, state.c,
+                                 state.proj, state.h[None], state.c[None],
                                  [list(answer_tokens)])[0])
 
 
@@ -443,18 +504,25 @@ def predict_batch(records, packs, params, vocab, cfg) -> list:
 def _predict_pass(records, packs, params, vocab, cfg) -> list:
     """
     One encoder pass over the records' images and questions (`_gather`
-    reads their features), then one decode per telling record and one
-    pointing head over the rest.
+    reads their features), then one decode of every telling candidate and
+    one pointing head over the rest. The pass holds its telling records
+    first, in input order, so their conv maps and projections are a prefix
+    of its arrays; the outcomes come back in input order.
     """
     examples = [_Example.of(rec, vocab) for rec in records]
-    feat, conv, F, failed = _gather(examples, packs, cfg,
-                                    params["W_img"].dtype)
-    outcomes = [failed.get(b) for b in range(len(examples))]
-    read = [b for b in range(len(examples)) if b not in failed]
-    if not read:
+    order = sorted(range(len(examples)),
+                   key=lambda b: examples[b].answers is None)
+    feat, conv, F, failed = _gather([examples[b] for b in order], packs,
+                                    cfg, params["W_img"].dtype)
+    outcomes = [None] * len(examples)
+    for i, e in failed.items():
+        outcomes[order[i]] = e
+    kept = [i for i in range(len(order)) if i not in failed]
+    if not kept:
         return outcomes
     if failed:
-        feat, conv, F = feat[read], conv[read], F[read]
+        feat, conv, F = feat[kept], conv[kept], F[kept]
+    read = [order[i] for i in kept]  # the input index of each row
     rows = [examples[b] for b in read]
     try:
         run = _forward(params, conv, *_pad([ex.q for ex in rows]), cfg.mode,
@@ -463,14 +531,14 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
         last = (run.lengths + 1, np.arange(len(rows)))
         h, c = run.H[last], run.C[last]
         scores = np.empty((len(rows), 4), h.dtype)
-        point = [i for i, ex in enumerate(rows) if ex.answers is None]
-        if point:
-            _, scores[point] = _pointing_head(params, F[point], h[point])
-        for i, ex in enumerate(rows):
-            if ex.answers is not None:
-                proj = None if run.proj is None else run.proj[i:i + 1]
-                scores[i] = _answer_logliks(params, cfg.mode, conv[i:i + 1],
-                                            proj, h[i], c[i], ex.answers)
+        m = sum(ex.answers is not None for ex in rows)  # the telling ones
+        if m:
+            proj = None if run.proj is None else run.proj[:m]
+            scores[:m] = _answer_logliks(
+                params, cfg.mode, conv[:m], proj, h[:m], c[:m],
+                [a for ex in rows[:m] for a in ex.answers]).reshape(m, 4)
+        if m < len(rows):
+            _, scores[m:] = _pointing_head(params, F[m:], h[m:])
     except Exception as e:  # fails every record of the pass
         for b in read:
             outcomes[b] = e

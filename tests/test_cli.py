@@ -889,6 +889,20 @@ class TestGradcheck:
         assert "max_rel_error\t1.000000e-03" in \
             (tmp_path / "gradcheck.txt").read_text()
 
+    def test_nan_gradient_is_numerics_error(self, tmp_path, monkeypatch,
+                                            capsys):
+        real = qamodel.gradcheck_fns
+
+        def nan_grads(*args):
+            loss_fn, grad_fn = real(*args)
+            return loss_fn, lambda p: {k: np.full_like(v, np.nan)
+                                       for k, v in grad_fn(p).items()}
+
+        monkeypatch.setattr(qamodel, "gradcheck_fns", nan_grads)
+        assert _run("gradcheck", "--out", str(tmp_path / "gc")) == 3
+        assert "non-finite analytic gradient W_ce[0]" in \
+            capsys.readouterr().err
+
 
 class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

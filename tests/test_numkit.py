@@ -5,7 +5,7 @@ import pytest
 
 from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK,
                                ADAM_EPSILON, AdamState, DimensionError,
-                               adam_step, clip_grads_by_norm,
+                               NumericsError, adam_step, clip_grads_by_norm,
                                finite_diff_grad_check, sigmoid,
                                softmax_rows)
 
@@ -234,3 +234,12 @@ class TestGradCheck:
             lambda p: {"good": 2 * p["good"], "bad": 3 * p["bad"]}, params)
         assert res.worst_param == "bad"
         assert res.max_rel_error > 0.1
+
+    def test_nan_analytic_gradient_is_numerics_error(self):
+        """A NaN relative error beside a finite loss compares False with
+        any maximum, so it must raise rather than pass as 0."""
+        with pytest.raises(NumericsError,
+                           match=r"non-finite analytic gradient w\[0\]"):
+            finite_diff_grad_check(
+                lambda p: float((p["w"] ** 2).sum()),
+                lambda p: {"w": np.full(3, np.nan)}, {"w": np.ones(3)})

@@ -584,6 +584,60 @@ class TestPredictBatch:
         assert loader.peak <= 2
         assert loader.live() == 0
 
+    def test_outcomes_land_on_their_records(self):
+        """A pass decodes its telling records first; each outcome still
+        lands on its own record, in input order, beside a missing pack."""
+        vocab, cfg, records, packs = _mixed_world()
+        params = init_params(cfg, 7)
+        # one pass: pointing p2 and p5 lead, telling t3 has no pack
+        batch = [records[i] for i in (2, 5, 0, 1, 3, 4, 6, 7)]
+        assert len(batch) == qamodel.PASS_RECORDS
+        assert [r.kind for r in batch[:3]] == ["pointing"] * 2 + ["telling"]
+        packs = dict(packs)
+        del packs[records[3].image_id]
+        outcomes = qamodel.predict_batch(batch, packs, params, vocab, cfg)
+        assert len(outcomes) == len(batch)
+        for rec, got in zip(batch, outcomes):
+            if rec is records[3]:
+                assert isinstance(got, KeyError)
+                continue
+            chosen, scores = predict_mc(rec, packs[rec.image_id], params,
+                                        vocab, cfg)
+            assert got[0] == chosen, rec.qa_id
+            assert got[1] == pytest.approx(scores, rel=1e-12), rec.qa_id
+
+
+class TestAttentionBlocks:
+    """`_attention` builds its tanh one block of maps at a time, in a
+    scratch of at most ATTEND_BYTES."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_one_map_per_block_changes_no_bit(self, monkeypatch, mode,
+                                              dtype):
+        vocab, cfg, records, packs = _mixed_world()
+        cfg = replace(cfg, mode=mode)
+        params = init_params(cfg, 7, dtype)
+        one_map = cfg.conv_cells * cfg.d_a * np.dtype(dtype).itemsize
+        # by default one block holds every map of a pass, 4 rows each
+        assert 4 * qamodel.PASS_RECORDS * one_map <= qamodel.ATTEND_BYTES
+
+        def run():
+            grads = qamodel.param_views(
+                np.zeros(qamodel.param_count(cfg), dtype), cfg)
+            losses = qamodel.batch_loss_and_grads(params, cfg, records,
+                                                  packs, vocab, grads)
+            return (qamodel.predict_batch(records, packs, params, vocab,
+                                          cfg), losses, grads)
+
+        outcomes, losses, grads = run()
+        monkeypatch.setattr(qamodel, "ATTEND_BYTES", one_map)
+        one_outcomes, one_losses, one_grads = run()
+        assert one_outcomes == outcomes
+        assert np.array_equal(one_losses, losses)
+        for name in grads:
+            assert np.array_equal(one_grads[name], grads[name]), name
+
 
 class TestModes:
     def test_uniform_equals_zeroed_scorer(self, micro_world):
@@ -1038,7 +1092,7 @@ class TestMemory:
     CFG = ModelConfig(hidden=16, d_a=16, vocab_size=20, conv_cells=49,
                       conv_channels=10, feat_dim=14)
 
-    def _peak(self, n_records, question_tokens):
+    def _peak(self, n_records, question_tokens, predict=False):
         packs = tiny_packs(dict(global_dim=self.CFG.feat_dim,
                                 conv_cells=self.CFG.conv_cells,
                                 conv_channels=self.CFG.conv_channels))
@@ -1050,8 +1104,12 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            qamodel.batch_loss_and_grads(params, self.CFG, records, packs,
-                                         vocab20(), grads)
+            if predict:
+                qamodel.predict_batch(records, packs, params, vocab20(),
+                                      self.CFG)
+            else:
+                qamodel.batch_loss_and_grads(params, self.CFG, records,
+                                             packs, vocab20(), grads)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1066,6 +1124,11 @@ class TestMemory:
     def test_peak_does_not_grow_with_the_batch(self):
         at_cap = self._peak(qamodel.PASS_RECORDS, 10)
         assert self._peak(4 * qamodel.PASS_RECORDS, 10) < 1.1 * at_cap
+
+    def test_prediction_peak_does_not_grow_with_the_passes(self):
+        at_cap = self._peak(qamodel.PASS_RECORDS, 10, predict=True)
+        assert self._peak(4 * qamodel.PASS_RECORDS, 10,
+                          predict=True) < 1.1 * at_cap
 
 
 def _assert_one_vector(params, cfg, dtype=np.float64):
