@@ -16,23 +16,30 @@ stacked as one (B, cells, channels) array; row [t, b] of each buffer is
 step t of record b. The attention projection of the conv
 maps and the input projection of every step are computed once per pass,
 outside the time loop, and each step's `Wh`, `Wr` and `W_he` products,
-forward and backward, are (B, .) GEMMs. A record's padded steps get no
-head gradient, so their gate-gradient rows are exactly zero. Backward
-takes each weight gradient once per pass: `Wv`, `Wh`, `Wr` and `b_gates`
-from the stacked (T*B, 4h) gate gradients, `W_img` and `W_ptr` from one
-GEMM over the batch, `W_ce` from one GEMM over the pass's stacked cells.
-Forward attention (`_attention`) builds each step's tanh one block of maps
-at a time in one scratch of at most ATTEND_BYTES, which at paper scale
-holds 2 maps and stays in L2 cache; at micro scale one block holds every
-map. Backward keeps no (T, B, cells, d_a) attention cache: each step's
-attention tanh is recomputed from the projection and that step's hidden
-state (`_attention_tanh`). `train`
-runs one pass per PASS_RECORDS records of a batch, so memory does not grow
-with the batch. Every training and prediction pass gets its records'
-features from `_gather`, which copies them into the pass's stacked arrays
-and drops each pack, so a run holds no more packs than it is using. A
-record keeps its copies when PASS_RECORDS of them fit in the room of its
-pack (micro scale on full-scale packs), and training reads that pack once.
+forward and backward, take the step's B rows at once. A product of 2 to
+FEW_ROWS rows with a weight larger than BLOCK_BYTES reads the weight one
+L2-sized block at a time: forward `x @ W.T` as `W[i:i+r] @ x.T` over
+blocks of W's rows (`_by_t`: `Wh`, `Wr`, `W_he`, and `W_img` and `W_ptr`
+in the heads), backward `dz @ W` summed over blocks of W's rows (`_by`:
+`Wh`, `Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode` and
+heat maps keep their bits. Each pass makes that choice once per weight.
+A record's padded steps get no head gradient, so their gate-gradient rows
+are exactly zero. Backward takes each weight gradient once per pass:
+`Wv`, `Wh`, `Wr` and `b_gates` from the stacked (T*B, 4h) gate gradients,
+`W_img` and `W_ptr` from one GEMM over the batch, `W_ce` from one GEMM
+over the pass's stacked cells. Attention (`_attention`) builds each step's
+tanh one block of maps at a time in one scratch of at most ATTEND_BYTES,
+which at paper scale holds 2 maps and stays in L2 cache; at micro scale
+one block holds every map. Backward keeps no (T, B, cells, d_a) attention
+cache and no whole-pass tanh: it rebuilds each step's tanh from the
+projection and that step's hidden state in the forward's blocks and
+scratch, which the pass carries. `train` runs one pass per PASS_RECORDS
+records of a batch, so memory does not grow with the batch. Every
+training and prediction pass gets its records' features from `_gather`,
+which copies them into the pass's stacked arrays and drops each pack, so
+a run holds no more packs than it is using. A record keeps its copies
+when PASS_RECORDS of them fit in the room of its pack (micro scale on
+full-scale packs), and training reads that pack once.
 
 Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too.
 A pass holds its telling records first, so their conv maps and
@@ -92,6 +99,8 @@ _STACKED = ("Wv", "Wh", "Wr")
 END_INDEX = 1  # datamodel reserves index 1 for END_ANSWER
 PASS_RECORDS = 8  # records per pass: memory does not grow with the batch
 ATTEND_BYTES = 1 << 20  # attention tanh built at once: 2 maps at paper scale
+BLOCK_BYTES = 1 << 18  # weight block a few-row product reads at once (L2)
+FEW_ROWS = 8  # most rows read in blocks; 10 to 16 rows ran slower so
 
 
 @dataclass
@@ -136,8 +145,10 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float64) -> dict:
     the sorted order of the per-gate names (Wh_f, Wh_g, Wh_i, ...), so a
     seed gives the same weights as a model with one tensor per gate. The
     params are the `param_views` of one flat vector in `dtype`; each block
-    is drawn in float64 into one reused scratch, as -s + 2s * U[0, 1), the
-    bits of `rng.uniform(-s, s)`, and then stored.
+    is drawn in float64, BLOCK_BYTES at a time, into one reused scratch, as
+    -s + 2s * U[0, 1), the bits of `rng.uniform(-s, s)`, and then stored.
+    The generator's draws follow one another, so the size of the scratch
+    changes no bit.
     """
     rng = np.random.default_rng(seed)
     h = cfg.hidden
@@ -148,14 +159,15 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float64) -> dict:
         stacked = blocks.pop(name)
         for k, x in enumerate(GATES):
             blocks[f"{name}_{x}"] = stacked[k * h:(k + 1) * h]
-    scratch = np.empty(max(block.size for block in blocks.values()))
+    scratch = np.empty(BLOCK_BYTES // 8)
     for name in sorted(blocks):
-        block = blocks[name]
-        s = 1.0 / np.sqrt(block.shape[-1])
-        draw = rng.random(out=scratch[:block.size])
-        draw *= 2 * s
-        draw += -s
-        block[...] = draw.reshape(block.shape)
+        block = blocks[name].reshape(-1)
+        s = 1.0 / np.sqrt(blocks[name].shape[-1])
+        for lo in range(0, block.size, scratch.size):
+            draw = rng.random(out=scratch[:block.size - lo])
+            draw *= 2 * s
+            draw += -s
+            block[lo:lo + draw.size] = draw
     return params
 
 
@@ -186,11 +198,60 @@ def param_views(vec: np.ndarray, cfg: ModelConfig) -> dict:
     return views
 
 
-def _by_t(x, W):
-    """x @ W.T for the few rows of x, computed as (W @ x.T).T: with OpenBLAS
-    this form ran about twice as fast (8 float32 rows against a 2048x512
-    W, one thread)."""
-    return (W @ x.T).T
+def _by_t(W, rows, out=None):
+    """
+    The product x -> x @ W.T for x of `rows` rows, computed as (W @ x.T).T
+    and written transposed to `out` (len(W), rows) when given. With 2 to
+    FEW_ROWS rows and W larger than BLOCK_BYTES, W is read one block of
+    rows at a time, each block staying in L2 while every row of x passes
+    over it: 8 float32 rows against a 2048x512 W took 229 us so, against
+    332 us in one GEMM and 135 us for one row's GEMV (OpenBLAS, one
+    thread). One row, or more than FEW_ROWS, keeps the one product. The
+    choice is made here, once per pass; a blocked result is a view of a
+    buffer that the next call overwrites.
+    """
+    if not 1 < rows <= FEW_ROWS or W.nbytes <= BLOCK_BYTES:
+        if out is None:
+            return lambda x: (W @ x.T).T
+        return lambda x: np.matmul(W, x.T, out=out).T
+    if out is None:
+        out = np.empty((len(W), rows), W.dtype)
+    step = max(1, BLOCK_BYTES // W[0].nbytes)
+    blocks = [(W[i:i + step], out[i:i + step])
+              for i in range(0, len(W), step)]
+
+    def product(x):
+        x = x.T
+        for w, o in blocks:
+            np.matmul(w, x, out=o)
+        return out.T
+
+    return product
+
+
+def _by(W, rows):
+    """
+    The product x -> x @ W for x of `rows` rows. With 2 to FEW_ROWS rows
+    and W larger than BLOCK_BYTES, it is summed over blocks of W's rows
+    (x's columns), each block staying in L2: 8 float32 rows against a
+    2048x512 W took 238 us so, against 414 us in one GEMM.
+    """
+    if not 1 < rows <= FEW_ROWS or W.nbytes <= BLOCK_BYTES:
+        return W.__rmatmul__  # x @ W
+    step = max(1, BLOCK_BYTES // W[0].nbytes)
+    first = W[:step]
+    rest = [(slice(i, i + step), W[i:i + step])
+            for i in range(step, len(W), step)]
+    part = np.empty((rows, W.shape[1]), W.dtype)
+
+    def product(x):
+        out = x[:, :step] @ first
+        for cols, w in rest:
+            np.matmul(x[:, cols], w, out=part)
+            out += part
+        return out
+
+    return product
 
 
 def _gemm(out, a, b, add):
@@ -222,8 +283,11 @@ def attention_step(h_prev, conv_map, params, mode=LEARNED):
         raise DimensionError(
             f"W_he {params['W_he'].shape} vs h {h_prev.shape}")
     conv = conv_map[None]
-    a, r = _attention(conv, _project(conv, params), params)(h_prev[None])
-    return a[0], r[0]
+    proj = _project(conv, params)
+    attend, _, _ = _attention(conv, proj, params)
+    r = np.empty((1, 1, conv.shape[2]), proj.dtype)
+    a = attend(h_prev[None], r)
+    return a[0], r[0, 0]
 
 
 def _uniform_attention(conv):
@@ -242,21 +306,19 @@ def _project(conv, params):
     return conv @ params["W_ce"].T
 
 
-def _attention_tanh(h, proj, params, out):
-    """tanh(proj + h @ W_he.T), record b's row added to each of its cells:
-    (B, cells, d_a), written to `out`."""
-    np.add(proj, _by_t(h, params["W_he"])[:, None], out=out)
-    return np.tanh(out, out=out)
-
-
 def _attention(conv, proj, params, k=1):
     """
     Learned attention over the M maps of conv (M, cells, channels), whose
-    projection is proj, each serving k consecutive rows: a function of the
-    hidden states h (M*k, hidden) that returns their weights (M*k, cells)
-    and contexts (M*k, channels). Built once per pass. It builds the tanh
-    one block of maps at a time, in one scratch of at most ATTEND_BYTES
-    (or one map's k rows, if larger), and reads each block once.
+    projection is proj, each serving k consecutive rows, built once per
+    pass: (attend, project, blocks). attend(h, r) returns the weights (M*k,
+    cells) of the hidden states h (M*k, hidden) and writes their contexts
+    to r (M, k, channels). It builds the tanh one block of maps at a time,
+    in one scratch of at most ATTEND_BYTES (or one map's k rows, if
+    larger), and reads each block once. project(h) writes h @ W_he.T where
+    the blocks read it, and each block is (its rows, proj's maps, their
+    h @ W_he.T, the scratch as (m, k, cells, d_a), their scores, the
+    scratch as (m*k, cells, d_a)), so `_backward` rebuilds a step's tanh
+    in the same blocks.
     """
     M, cells, d_a = proj.shape
     per = max(1, ATTEND_BYTES // (k * cells * d_a * proj.itemsize))
@@ -265,32 +327,36 @@ def _attention(conv, proj, params, k=1):
     e = e_t.T.reshape(M, k, 1, d_a)
     tanh = np.empty((min(per, M), k, cells, d_a), proj.dtype)
     scores = np.empty((M, k, cells), proj.dtype)
-    blocks = [(proj[lo:lo + per, None], e[lo:lo + per],
-               tanh[:min(per, M - lo)], scores[lo:lo + per])
-              for lo in range(0, M, per)]
-    rows, channels = scores.reshape(M * k, cells), conv.shape[2]
+    project = _by_t(W_he, M * k, e_t)
+    blocks = [(slice(lo * k, (lo + per) * k), proj[lo:lo + per, None],
+               e[lo:lo + per], u, scores[lo:lo + per],
+               u.reshape(-1, cells, d_a))
+              for lo in range(0, M, per) for u in [tanh[:min(per, M - lo)]]]
+    rows = scores.reshape(M * k, cells)
 
-    def attend(h):
-        np.matmul(W_he, h.T, out=e_t)
-        for p, e_b, u, s in blocks:
+    def attend(h, r):
+        project(h)
+        for _, p, e_b, u, s, _ in blocks:
             np.add(p, e_b, out=u)
             np.tanh(u, out=u)
             np.matmul(u, w_a, out=s)
         a = softmax_rows(rows + b_a)
-        return a, (a.reshape(M, k, cells) @ conv).reshape(-1, channels)
+        np.matmul(a.reshape(M, k, cells), conv, out=r)
+        return a
 
-    return attend
+    return attend, project, blocks
 
 
-def _cell(pre, c_prev):
-    """Stacked gate pre-activations (..., 4h) -> (h, c, activated gates)."""
+def _cell(pre, c_prev, h, c, gates):
+    """Stacked gate pre-activations (..., 4h) -> the new state, written to
+    h and c, and the activated gates, written to gates."""
     n = c_prev.shape[-1]
-    gates = np.empty_like(pre)
     gates[..., :3 * n] = sigmoid(pre[..., :3 * n])
-    gates[..., 3 * n:] = np.tanh(pre[..., 3 * n:])
+    np.tanh(pre[..., 3 * n:], out=gates[..., 3 * n:])
     gi, gf, go, gg = (gates[..., k * n:(k + 1) * n] for k in range(4))
-    c = gf * c_prev + gi * gg
-    return go * np.tanh(c), c, gates
+    np.multiply(gf, c_prev, out=c)
+    c += gi * gg
+    np.multiply(go, np.tanh(c), out=h)
 
 
 @dataclass
@@ -308,6 +374,7 @@ class _Pass:
     G: np.ndarray  # (T, B, 4h) activated gates
     A: np.ndarray  # (T, B, cells) attention weights
     R: np.ndarray  # (T, B, channels) attended contexts
+    attention: tuple  # its `_attention` in learned mode, or None
 
 
 def _pad(sequences):
@@ -329,7 +396,8 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
     attention projection of `conv` if the caller already has it. A map's k
     rows share their state at step 0, so when k > 1 that step's `Wh` and
     `Wr` products and attention run once per map. Buffers take the params'
-    dtype, so the pass can run in extended precision.
+    dtype, so the pass can run in extended precision. Each product of a
+    weight with the step's few rows is chosen once per pass (`_by_t`).
     """
     W_word = params["W_word"]
     bad = ids[(ids < 0) | (ids >= W_word.shape[1])]
@@ -338,15 +406,15 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
                          f"range {W_word.shape[1]}")
     V = W_word.T[ids.T]  # (L, B, h)
     if feat is not None:
-        V = np.concatenate(
-            [(_by_t(feat, params["W_img"]) + params["b_img"])[None], V])
+        V = np.concatenate([(_by_t(params["W_img"], len(feat))(feat)
+                             + params["b_img"])[None], V])
     T, B, n = V.shape
     M, cells, channels = conv.shape
     k = B // M
     dtype = V.dtype
-    Wh, Wr = params["Wh"], params["Wr"]
+    Wh, Wr = _by_t(params["Wh"], B), _by_t(params["Wr"], B)
     # the input side of every step, in one GEMM
-    X = (_by_t(V.reshape(T * B, n), params["Wv"])
+    X = ((params["Wv"] @ V.reshape(T * B, n).T).T
          + params["b_gates"]).reshape(T, B, 4 * n)
     H = np.zeros((T + 1, B, n), dtype)
     C = np.zeros((T + 1, B, n), dtype)
@@ -355,33 +423,35 @@ def _forward(params, conv, ids, lengths, mode, feat=None, h0=None, c0=None,
     G = np.empty((T, B, 4 * n), dtype)
     A = np.empty((T, B, cells), dtype)
     R = np.empty((T, B, channels), dtype)
-    learned = mode == LEARNED
-    if learned:
+    attention = attend = None
+    if mode == LEARNED:
         if proj is None:
             proj = _project(conv, params)
-        attend = _attention(conv, proj, params, k)
+        attention = _attention(conv, proj, params, k)
+        attend, R4 = attention[0], R.reshape(T, M, k, channels)
     else:
         A[:], r = _uniform_attention(conv)
         R[:] = np.repeat(r, k, axis=0)
-        X += _by_t(R[0], Wr)  # the context never changes
+        X += Wr(R[0])  # the context never changes
     first = 0
     if k > 1:  # step 0 from each map's one state
         h = H[0, ::k]
-        pre = X[0].reshape(M, k, 4 * n) + _by_t(h, Wh)[:, None]
-        if learned:
-            a, r = _attention(conv, proj, params)(h)
+        pre = X[0].reshape(M, k, 4 * n) + _by_t(params["Wh"], M)(h)[:, None]
+        if attend:
+            r = np.empty((M, channels), dtype)
+            a = _attention(conv, proj, params)[0](h, r[:, None])
             A[0], R[0] = np.repeat(a, k, axis=0), np.repeat(r, k, axis=0)
-            pre += _by_t(r, Wr)[:, None]
-        H[1], C[1], G[0] = _cell(pre.reshape(B, 4 * n), C[0])
+            pre += _by_t(params["Wr"], M)(r)[:, None]
+        _cell(pre.reshape(B, 4 * n), C[0], H[1], C[1], G[0])
         first = 1
     for t in range(first, T):
-        pre = X[t] + _by_t(H[t], Wh)
-        if learned:
-            A[t], R[t] = attend(H[t])
-            pre += _by_t(R[t], Wr)
-        H[t + 1], C[t + 1], G[t] = _cell(pre, C[t])
+        pre = X[t] + Wh(H[t])
+        if attend:
+            A[t] = attend(H[t], R4[t])
+            pre += Wr(R[t])
+        _cell(pre, C[t], H[t + 1], C[t + 1], G[t])
     return _Pass(feat=feat, ids=ids, lengths=lengths, conv=conv, proj=proj,
-                 V=V, H=H, C=C, G=G, A=A, R=R)
+                 V=V, H=H, C=C, G=G, A=A, R=R, attention=attention)
 
 
 @dataclass
@@ -439,7 +509,8 @@ def _pointing_head(params, F, h):
     if params["W_ptr"].shape[1] != F.shape[-1]:
         raise DimensionError(
             f"W_ptr {params['W_ptr'].shape} vs regions {F.shape}")
-    transformed = (_by_t(F.reshape(-1, F.shape[-1]), params["W_ptr"])
+    rows = F.reshape(-1, F.shape[-1])
+    transformed = (_by_t(params["W_ptr"], len(rows))(rows)
                    + params["b_ptr"]).reshape(F.shape[:-1] + (-1,))
     return transformed, (transformed @ h[:, :, None])[:, :, 0]
 
@@ -527,13 +598,15 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
     try:
         run = _forward(params, conv, *_pad([ex.q for ex in rows]), cfg.mode,
                        feat=feat)
-        # each record's state after its own last step
+        # each record's state after its own last step; the pass, and its
+        # attention scratch, go before the decode builds its own
         last = (run.lengths + 1, np.arange(len(rows)))
-        h, c = run.H[last], run.C[last]
+        h, c, proj = run.H[last], run.C[last], run.proj
+        del run
         scores = np.empty((len(rows), 4), h.dtype)
         m = sum(ex.answers is not None for ex in rows)  # the telling ones
         if m:
-            proj = None if run.proj is None else run.proj[:m]
+            proj = None if proj is None else proj[:m]
             scores[:m] = _answer_logliks(
                 params, cfg.mode, conv[:m], proj, h[:m], c[:m],
                 [a for ex in rows[:m] for a in ex.answers]).reshape(m, 4)
@@ -583,7 +656,7 @@ def attention_trace(record, pack, params, vocab, cfg) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _backward(params, run, dH, mode, grads, add):
+def _backward(params, run, dH, grads, add):
     """
     Backpropagate through a `_forward` pass into `grads`, overwriting each
     gradient, or adding to it when `add`. dH[t, b] is the gradient the
@@ -592,8 +665,11 @@ def _backward(params, run, dH, mode, grads, add):
     recurrence runs step by step, each step's products being (B, .) GEMMs.
     Each weight gradient is taken once: `Wv`, `Wh`, `Wr` from the (T*B, 4h)
     stack of gate gradients, `W_img` from the batch's rows, `W_ce` from the
-    pass's stacked cells. Each step's attention tanh is recomputed from the
-    projection and that step's hidden state instead of being cached.
+    pass's stacked cells. Each step's attention tanh is rebuilt from the
+    projection and that step's hidden state in the forward's blocks and
+    scratch (`_attention`), not cached. `w_a`'s gradient gets one row per
+    map, summed over the steps, and the maps are summed once, so no bit
+    depends on the block size.
     """
     G = run.G
     T, B, n = run.V.shape
@@ -605,38 +681,47 @@ def _backward(params, run, dH, mode, grads, add):
         [gg * gi * (1 - gi), run.C[:-1] * gf * (1 - gf), tc * go * (1 - go),
          gi * (1 - gg * gg)], axis=-1)
     DZ = np.empty_like(G)
-    learned = mode == LEARNED
+    DZ4 = DZ.reshape(T, B, 4, n)
+    Wh, Wr = _by(params["Wh"], B), _by(params["Wr"], B)
+    learned = run.attention is not None
     if learned:
-        w_a, W_he, Wr = params["w_a"], params["W_he"], params["Wr"]
-        P = np.empty_like(run.proj)  # a step's tanh, then its score gradient
+        _, project, blocks = run.attention
+        w_a, W_he = params["w_a"], _by(params["W_he"], B)
         M = np.zeros_like(run.proj)  # score gradients summed over the steps
+        DW = np.zeros((B, w_a.shape[0]), G.dtype)  # w_a's gradient per map
         DE = np.empty_like(run.A)
         S = np.empty((T, B, w_a.shape[0]), G.dtype)
-        dw_a = np.zeros(w_a.shape, G.dtype)
+        blocks = [(rows, p, e, u, v, M[rows], DW[rows, None])
+                  for rows, p, e, u, _, v in blocks]
+    A, H, conv = run.A, run.H, run.conv
     dh_next = np.zeros((B, n), G.dtype)
     dc = np.zeros((B, n), G.dtype)
     for t in range(T - 1, -1, -1):
         dh = dh_next + dH[t]
         dc = dc + dh * dc_dh[t]
+        DZ4[t] = dc[:, None]
+        DZ4[t, :, 2] = dh
         dz = DZ[t]
-        dz.reshape(B, 4, n)[:] = dc[:, None]
-        dz[:, 2 * n:3 * n] = dh
         dz *= dz_scale[t]
         dc = dc * gf[t]
-        dh_next = dz @ params["Wh"]
+        dh_next = Wh(dz)
         if learned:
-            a = run.A[t]
-            da = (run.conv @ (dz @ Wr)[:, :, None])[:, :, 0]
-            DE[t] = de = a * (da - (a * da).sum(axis=1, keepdims=True))
-            u = _attention_tanh(run.H[t], run.proj, params, P)
-            dw_a += de.reshape(-1) @ u.reshape(-1, u.shape[2])
-            np.multiply(u, u, out=P)
-            np.subtract(1, P, out=P)  # the tanh derivative
-            P *= de[:, :, None]
-            M += P
-            S[t] = P.sum(axis=1) * w_a
-            dh_next += S[t] @ W_he
-    H_prev = run.H[:-1].reshape(T * B, n)
+            a, de, s = A[t], DE[t], S[t]
+            da = (conv @ Wr(dz)[:, :, None])[:, :, 0]
+            np.multiply(a, da - (a * da).sum(axis=1, keepdims=True), out=de)
+            project(H[t])
+            for rows, p, e, u, v, m, dw in blocks:
+                np.add(p, e, out=u)
+                np.tanh(u, out=u)
+                d = de[rows]
+                dw += d[:, None] @ v
+                np.multiply(v, v, out=v)
+                np.subtract(1, v, out=v)  # the tanh derivative
+                v *= d[:, :, None]
+                m += v
+                np.multiply(v.sum(axis=1), w_a, out=s[rows])
+            dh_next += W_he(s)
+    H_prev = H[:-1].reshape(T * B, n)
     DZ = DZ.reshape(T * B, 4 * n)
     _gemm(grads["Wv"], DZ.T, run.V.reshape(T * B, n), add)
     _gemm(grads["Wh"], DZ.T, H_prev, add)
@@ -655,11 +740,11 @@ def _backward(params, run, dH, mode, grads, add):
     np.add.at(grads["W_word"].T, run.ids.T[real], DV[real])
     if learned:
         _store(grads["b_a"], DE.sum(), add)
-        _store(grads["w_a"], dw_a, add)
+        _store(grads["w_a"], DW.sum(axis=0), add)
         M *= w_a
         cells = M.shape[0] * M.shape[1]
         _gemm(grads["W_ce"], M.reshape(cells, -1).T,
-              run.conv.reshape(cells, -1), add)
+              conv.reshape(cells, -1), add)
         _gemm(grads["W_he"], S.reshape(T * B, -1).T, H_prev, add)
     elif not add:
         for name in ("W_he", "W_ce", "w_a", "b_a"):
@@ -725,7 +810,7 @@ def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
         grads["W_ptr"].fill(0)
         grads["b_ptr"].fill(0)
     if grads is not None:
-        _backward(params, run, dH, cfg.mode, grads, add)
+        _backward(params, run, dH, grads, add)
     return losses
 
 

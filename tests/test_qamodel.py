@@ -89,6 +89,100 @@ class TestInit:
         expected_sd = s / math.sqrt(3.0)
         assert abs(w.std() - expected_sd) / expected_sd < 0.05
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", ["micro", "mid"])
+    def test_a_tiny_odd_scratch_changes_no_bit(self, monkeypatch, shape,
+                                               dtype):
+        _, cfg, _ = _world(shape)
+        whole = init_params(cfg, 5, dtype)
+        monkeypatch.setattr(qamodel, "BLOCK_BYTES", 3 * 8)  # 3 draws at once
+        for name, arr in init_params(cfg, 5, dtype).items():
+            assert np.array_equal(arr, whole[name]), name
+
+
+class TestBlockedProducts:
+    """`_by_t` (x @ W.T) and `_by` (x @ W) against plain numpy: 2 to
+    FEW_ROWS rows read a weight larger than BLOCK_BYTES in blocks, and one
+    row or more than FEW_ROWS keep the plain product's bits."""
+
+    # 300 rows: not a multiple of the block in float64 or float32
+    SHAPE = (300, 300)
+    BOUNDS = {np.float64: 1e-12, np.float32: 1e-6}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 9])
+    def test_match_numpy(self, rows, dtype):
+        rng = np.random.default_rng(rows)
+        W = rng.standard_normal(self.SHAPE).astype(dtype)
+        assert W.nbytes > qamodel.BLOCK_BYTES
+        assert len(W) % (qamodel.BLOCK_BYTES // W[0].nbytes)
+        by_t, by = qamodel._by_t(W, rows), qamodel._by(W, rows)
+        out = np.empty((len(W), rows), dtype)
+        into = qamodel._by_t(W, rows, out)
+        blocked = 1 < rows <= qamodel.FEW_ROWS
+        for x, dz in [(rng.standard_normal((rows, W.shape[1])).astype(dtype),
+                       rng.standard_normal((rows, len(W))).astype(dtype))
+                      for _ in range(2)]:
+            for got, want in ((by_t(x), (W @ x.T).T), (into(x), (W @ x.T).T),
+                              (by(dz), dz @ W)):
+                assert got.dtype == dtype and got.shape == want.shape
+                if blocked:
+                    bound = self.BOUNDS[dtype] * np.abs(want).max()
+                    assert np.abs(got - want).max() <= bound
+                else:
+                    assert np.array_equal(got, want)
+            assert np.shares_memory(into(x), out)
+        # a blocked x @ W.T is written to one buffer that each call reuses
+        assert np.shares_memory(by_t(x), by_t(dz[:, :W.shape[1]])) == blocked
+
+    def test_a_weight_of_one_block_keeps_the_plain_product(self):
+        W = np.ones((4, qamodel.BLOCK_BYTES // 32))  # exactly BLOCK_BYTES
+        x = np.ones((2, W.shape[1]))
+        product = qamodel._by_t(W, 2)
+        assert not np.shares_memory(product(x), product(x))
+        W = np.ones((5, W.shape[1]))  # one row more: blocked
+        product = qamodel._by_t(W, 2)
+        assert np.shares_memory(product(x), product(x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_a_pass_in_blocks_tracks_the_plain_pass(self, monkeypatch, mode,
+                                                    dtype):
+        vocab, cfg, records, packs = _mixed_world()
+        cfg = replace(cfg, mode=mode)
+        params = init_params(cfg, 7, dtype)
+
+        def run():
+            grads = qamodel.param_views(
+                np.zeros(qamodel.param_count(cfg), dtype), cfg)
+            losses = qamodel.batch_loss_and_grads(params, cfg, records,
+                                                  packs, vocab, grads)
+            return (qamodel.predict_batch(records, packs, params, vocab,
+                                          cfg), losses, grads)
+
+        outcomes, losses, grads = run()
+        block = params["W_img"].nbytes // 3
+        monkeypatch.setattr(qamodel, "BLOCK_BYTES", block)
+        for name in ("Wh", "Wr", "W_img", "W_he", "W_ptr"):
+            W = params[name]
+            assert -(-len(W) // (block // W[0].nbytes)) >= 3, name
+        blocked_outcomes, blocked_losses, blocked_grads = run()
+        bound = self.BOUNDS[dtype]
+        for got, want in zip(blocked_outcomes, outcomes):
+            assert got[0] == want[0]
+            assert (np.abs(np.subtract(got[1], want[1])).max()
+                    <= bound * np.abs(want[1]).max())
+        assert (np.abs(blocked_losses - losses).max()
+                <= bound * np.abs(losses).max())
+        # the gradients of b_a and b_ptr are 0 but for round-off (a softmax
+        # ignores a shift), so they are held to the whole gradient's scale
+        scale = max(np.abs(g).max() for g in grads.values())
+        for name in grads:
+            ref = (scale if name in ("b_a", "b_ptr")
+                   else np.abs(grads[name]).max())
+            assert (np.abs(blocked_grads[name] - grads[name]).max()
+                    <= bound * ref), name
+
 
 class TestAttentionStep:
     def test_uniform_mode(self):
@@ -136,7 +230,8 @@ def _lstm_step(v, h_prev, c_prev, r, params):
     """`qamodel._cell` at the pre-activations of the stacked weights."""
     pre = (params["Wv"] @ v + params["Wh"] @ h_prev + params["Wr"] @ r
            + params["b_gates"])
-    h, c, _ = qamodel._cell(pre, c_prev)
+    h, c = np.empty_like(c_prev), np.empty_like(c_prev)
+    qamodel._cell(pre, c_prev, h, c, np.empty_like(pre))
     return h, c
 
 
@@ -1092,24 +1187,23 @@ class TestMemory:
     CFG = ModelConfig(hidden=16, d_a=16, vocab_size=20, conv_cells=49,
                       conv_channels=10, feat_dim=14)
 
-    def _peak(self, n_records, question_tokens, predict=False):
-        packs = tiny_packs(dict(global_dim=self.CFG.feat_dim,
-                                conv_cells=self.CFG.conv_cells,
-                                conv_channels=self.CFG.conv_channels))
+    def _peak(self, n_records, question_tokens, predict=False, cfg=CFG):
+        packs = tiny_packs(dict(global_dim=cfg.feat_dim,
+                                conv_cells=cfg.conv_cells,
+                                conv_channels=cfg.conv_channels))
         records = [replace(tiny_telling_record(), qa_id=f"t{k}",
                            question=" ".join(["what"] * question_tokens))
                    for k in range(n_records)]
-        params = init_params(self.CFG, 0)
-        grads = zero_grads(self.CFG)
+        params = init_params(cfg, 0)
+        grads = zero_grads(cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             if predict:
-                qamodel.predict_batch(records, packs, params, vocab20(),
-                                      self.CFG)
+                qamodel.predict_batch(records, packs, params, vocab20(), cfg)
             else:
-                qamodel.batch_loss_and_grads(params, self.CFG, records,
-                                             packs, vocab20(), grads)
+                qamodel.batch_loss_and_grads(params, cfg, records, packs,
+                                             vocab20(), grads)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1120,6 +1214,21 @@ class TestMemory:
         # what caching the tanh of the 30 extra steps would add on its own
         cached = 30 * batch * cfg.conv_cells * cfg.d_a * 8
         assert growth < cached, (growth, cached)
+
+    def test_backward_holds_one_block_of_tanh(self, monkeypatch):
+        # a pass holds the tanh of one block of maps, in forward and in
+        # backward alike: one map per block instead of one block of all B
+        # maps saves the other B - 1 maps, less the few array views each
+        # block adds (tracemalloc counts those too). A 100 KB map sets the
+        # peak.
+        cfg, batch = replace(self.CFG, d_a=256), qamodel.PASS_RECORDS
+        one_map = cfg.conv_cells * cfg.d_a * 8
+        assert batch * one_map <= qamodel.ATTEND_BYTES
+        whole = self._peak(batch, 10, cfg=cfg)
+        monkeypatch.setattr(qamodel, "ATTEND_BYTES", one_map)
+        saved = whole - self._peak(batch, 10, cfg=cfg)
+        views = 2048 * batch
+        assert saved >= (batch - 1) * one_map - views, (saved, one_map)
 
     def test_peak_does_not_grow_with_the_batch(self):
         at_cap = self._peak(qamodel.PASS_RECORDS, 10)
