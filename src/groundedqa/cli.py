@@ -307,12 +307,10 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
     records, packs, _ = _open_run(cfg, split="test")
-    for rec in records:
-        trace = qamodel.attention_trace(rec, packs[rec.image_id], params,
-                                        vocab, mc)
-        heatmap = evalkit.attention_heatmap(trace)
-        evalkit.export_heatmap_image(
-            heatmap, os.path.join(cfg.out, f"{rec.qa_id}.pgm"))
+    for rec, trace in zip(records, qamodel.attention_traces(
+            records, packs, params, vocab, mc)):
+        evalkit.export_heatmap_image(evalkit.attention_heatmap(trace),
+                                     os.path.join(cfg.out, f"{rec.qa_id}.pgm"))
     return EXIT_OK
 
 

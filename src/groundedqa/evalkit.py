@@ -116,13 +116,15 @@ def _point_in_box(px, py, box) -> bool:
 
 def peak_in_box_rate(entries):
     """
-    Fraction of records whose heat-map peak cell center lies inside any of
-    that record's boxes. Entries are (HeatMap, list of BoundingBox); the map
-    must carry its image dims. Also reports the mean box-area fraction.
+    Fraction of records whose heat-map peak cell center lies inside any
+    of their boxes, and the mean box-area fraction. Entries are (HeatMap,
+    list of BoundingBox); ValueError if a map has no positive image size.
     """
     hits = 0
     area_fracs = []
     for heatmap, boxes in entries:
+        if min(heatmap.image_width, heatmap.image_height) <= 0:
+            raise ValueError("a heat map without its image size has no peak")
         row, col = heatmap.peak_cell()
         px, py = heatmap.cell_center(row, col)
         if any(_point_in_box(px, py, b) for b in boxes):

@@ -1,10 +1,9 @@
 """
-Dense math kernels: a row-wise stable softmax, Adam, gradient clipping
-and a central-difference gradient checker. Each computes in the dtype of
-the arrays it is given: float32 for training, float64 (or wider) for the
+Dense math kernels: a row-wise stable softmax, Adam and a
+central-difference gradient checker. Each computes in the dtype of the
+arrays it is given: float32 for training, float64 (or wider) for the
 checks. Everything here is a pure function of its inputs except
-`adam_step` and `clip_grads_by_norm`, which update the arrays they are
-given in place.
+`adam_step`, which updates the arrays it is given in place.
 """
 
 from dataclasses import dataclass
@@ -114,17 +113,6 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         s1 /= s2
         p[lo:hi] -= s1
     return param
-
-
-def clip_grads_by_norm(grad: np.ndarray, max_norm: float) -> float:
-    """
-    Scale the flat gradient vector in place so its L2 norm is <= max_norm.
-    Returns the norm before clipping.
-    """
-    total = float(np.sqrt(grad @ grad))
-    if total > max_norm:
-        grad *= max_norm / total
-    return total
 
 
 @dataclass

@@ -21,8 +21,8 @@ FEW_ROWS rows with a weight larger than BLOCK_BYTES reads the weight one
 L2-sized block at a time: forward `x @ W.T` as `W[i:i+r] @ x.T` over
 blocks of W's rows (`_by_t`: `Wh`, `Wr`, `W_he`, and `W_img` and `W_ptr`
 in the heads), backward `dz @ W` summed over blocks of W's rows (`_by`:
-`Wh`, `Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode` and
-heat maps keep their bits. Each pass makes that choice once per weight.
+`Wh`, `Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode`
+keeps its bits. Each pass makes that choice once per weight.
 A record's padded steps get no head gradient, so their gate-gradient rows
 are exactly zero. Backward takes each weight gradient once per pass:
 `Wv`, `Wh`, `Wr` and `b_gates` from the stacked (T*B, 4h) gate gradients,
@@ -33,12 +33,12 @@ which at paper scale holds 2 maps and stays in L2 cache; at micro scale
 one block holds every map. Backward keeps no (T, B, cells, d_a) attention
 cache and no whole-pass tanh: it rebuilds each step's tanh from the
 projection and that step's hidden state in the forward's blocks and
-scratch, which the pass carries. `train` runs one pass per PASS_RECORDS
-records of a batch, so memory does not grow with the batch. Every
-training and prediction pass gets its records' features from `_gather`,
-which copies them into the pass's stacked arrays and drops each pack, so
-a run holds no more packs than it is using. A record keeps its copies
-when PASS_RECORDS of them fit in the room of its pack (micro scale on
+scratch, which the pass carries. `train` and `attention_traces` run one
+pass per PASS_RECORDS records (`_passes`), so memory does not grow with
+the batch. Every pass gets its records' features from `_gather`, which
+copies them into the pass's stacked arrays and drops each pack, so a run
+holds no more packs than it is using. A record keeps its copies when
+PASS_RECORDS of them fit in the room of its pack (micro scale on
 full-scale packs), and training reads that pack once.
 
 Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too.
@@ -51,8 +51,7 @@ They share step 0, so attention, the `Wh` and `Wr` products and the head
 at the encoder's final state run once per record there; only each
 token's `Wv` input differs, and later tokens run as 4 rows per map. One
 pointing head scores every pointing record's candidates. `predict_mc`,
-`encode`, `telling_answer_loglik`, the single-record losses and
-`attention_trace` run at B = 1.
+`encode`, `telling_answer_loglik` and the one-record losses run at B = 1.
 
 Every public loss function sets `grads` to its gradients, whatever it
 held; only the later passes of a `batch_loss_and_grads` call add.
@@ -88,7 +87,7 @@ import numpy as np
 from . import binfmt, datamodel, featurestore
 from .binfmt import FormatError
 from .numkit import (AdamState, DimensionError, NumericsError, adam_step,
-                     clip_grads_by_norm, sigmoid, softmax_rows)
+                     sigmoid, softmax_rows)
 
 LEARNED = "learned"
 UNIFORM = "uniform"
@@ -638,19 +637,6 @@ def predict_mc(record, pack, params, vocab, cfg):
     return outcome
 
 
-def attention_trace(record, pack, params, vocab, cfg) -> list:
-    """
-    One attention vector per step while the model reads the image, the
-    question and, for a telling record, its correct answer: the `encode`
-    trace of those tokens. A non-finite weight raises NumericsError.
-    """
-    ex = _Example.of(record, vocab)
-    trace = encode(pack, ex.q + (ex.a or []), params, cfg).trace
-    if not np.isfinite(trace).all():
-        raise NumericsError(f"non-finite attention on record {record.qa_id}")
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -751,6 +737,13 @@ def _backward(params, run, dH, grads, add):
             grads[name].fill(0)
 
 
+def _training_pass(params, cfg, examples, feat, conv):
+    """The `_forward` pass of training and heat maps: each record reads its
+    image, its question and, if it tells, its correct answer."""
+    ids, lengths = _pad([ex.q + (ex.a or []) for ex in examples])
+    return _forward(params, conv, ids, lengths, cfg.mode, feat=feat)
+
+
 def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
                     add=False):
     """
@@ -759,8 +752,7 @@ def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
     params' dtype. With `grads`, sets it to the sum of their gradients, or
     adds that sum to it when `add`.
     """
-    ids, lengths = _pad([ex.q + (ex.a or []) for ex in examples])
-    run = _forward(params, conv, ids, lengths, cfg.mode, feat=feat)
+    run = _training_pass(params, cfg, examples, feat, conv)
     Hs = run.H[1:]  # Hs[t, b] is the state after step t of record b
     losses = np.empty(len(examples), Hs.dtype)
     dH = None if grads is None else np.zeros_like(Hs)
@@ -792,7 +784,7 @@ def _loss_and_grads(params, cfg, examples, feat, conv, F, grads=None,
         grads["b_out"].fill(0)
     if point:
         # each record's state after its own last step scores its candidates
-        last = lengths[point]
+        last = run.lengths[point]
         h = Hs[last, point]
         F = F[point]  # (P, 4, feat_dim)
         transformed, scores = _pointing_head(params, F, h)
@@ -929,15 +921,38 @@ def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     """
     examples = [r if isinstance(r, _Example) else _Example.of(r, vocab)
                 for r in records]
-    losses = []
+    return np.concatenate([
+        _loss_and_grads(params, cfg, *inputs, grads, add=i > 0)
+        for i, inputs in enumerate(_passes(params, cfg, examples, packs))])
+
+
+def attention_traces(records, packs, params, vocab, cfg) -> list:
+    """
+    Per record, its attention weights at each step of the training pass
+    (image, question, a telling record's correct answer). Raises what
+    `_passes` raises, and NumericsError on a non-finite weight.
+    """
+    examples, traces = [_Example.of(rec, vocab) for rec in records], []
+    for chunk, feat, conv, _ in _passes(params, cfg, examples, packs):
+        run = _training_pass(params, cfg, chunk, feat, conv)
+        for b, ex in enumerate(chunk):
+            traces.append(list(run.A[:1 + run.lengths[b], b]))
+            if not np.isfinite(traces[-1]).all():
+                raise NumericsError(
+                    f"non-finite attention on record {ex.record.qa_id}")
+        del run  # its states go before the next pass gathers
+    return traces
+
+
+def _passes(params, cfg, examples, packs):
+    """(examples, feat, conv, F) of each pass of PASS_RECORDS `examples`, as
+    `_gather` reads them; raises the first failure to read, in input order."""
     for lo in range(0, len(examples), PASS_RECORDS):
         chunk = examples[lo:lo + PASS_RECORDS]
         *inputs, failed = _gather(chunk, packs, cfg, params["W_img"].dtype)
         if failed:
             raise failed[min(failed)]
-        losses.append(_loss_and_grads(params, cfg, chunk, *inputs, grads,
-                                      add=lo > 0))
-    return np.concatenate(losses)
+        yield chunk, *inputs
 
 
 def gradcheck_fns(cfg, record, pack, vocab):
@@ -974,7 +989,6 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-4
     seed: int = 0
-    clip_norm: float = None  # optional global max-norm gradient clip
 
 
 def train(records, packs, vocab, params, cfg: ModelConfig,
@@ -1019,8 +1033,6 @@ def train(records, packs, vocab, params, cfg: ModelConfig,
                     f"(epoch {epoch}, batch at {start})")
             epoch_loss += sum(float(loss) for loss in losses)
             grad *= 1.0 / len(batch)
-            if train_cfg.clip_norm is not None:
-                clip_grads_by_norm(grad, train_cfg.clip_norm)
             adam_step(flat, grad, state)
         curve.append(epoch_loss / len(order))
     if not np.isfinite(flat).all():

@@ -164,6 +164,19 @@ class TestPeakInBox:
             bigger.append((hm, [big]))
         assert peak_in_box_rate(bigger)[0] >= peak_in_box_rate(entries)[0]
 
+    @pytest.mark.parametrize("size", [(0, 0), (140, 0), (0, 140)])
+    @pytest.mark.parametrize("boxes", [[], [BoundingBox(0, 0, 10, 10)]])
+    def test_a_map_without_its_image_size_is_rejected(self, size, boxes):
+        """`attention_heatmap` gives no image size: no peak is scored at
+        pixel (0, 0) and no box is divided by an area of 0."""
+        grid = np.zeros((14, 14))
+        grid[7, 7] = 1.0
+        hm = HeatMap(grid=grid, image_width=size[0], image_height=size[1])
+        with pytest.raises(ValueError, match="image size"):
+            peak_in_box_rate([(self._map_with_peak(0, 0), []), (hm, boxes)])
+        with pytest.raises(ValueError, match="image size"):
+            peak_in_box_rate([(attention_heatmap([grid.ravel()]), boxes)])
+
     def test_peak_tie_break_lowest_row_major(self):
         grid = np.zeros((14, 14))
         grid[2, 3] = 0.5

@@ -175,6 +175,30 @@ def test_cli_opens_files_in_one_place():
     assert found == allowed, sorted(found ^ allowed)
 
 
+def test_cli_runs_the_model_in_passes():
+    """
+    `cli` reaches `qamodel` through this fixed set of names, which holds
+    none of the one-record entry points: every command runs its records
+    in passes of PASS_RECORDS, which read features through `_gather`.
+    """
+    allowed = {"ModelConfig", "MODES", "LEARNED", "TrainConfig", "train",
+               "init_params", "save_checkpoint", "load_checkpoint",
+               "predict_batch", "attention_traces", "gradcheck_fns"}
+    one_record = {"encode", "attention_step", "predict_mc",
+                  "telling_answer_loglik", "telling_loss_and_grads",
+                  "pointing_loss_and_grads", "record_loss_and_grads"}
+    assert not allowed & one_record
+    found = set()
+    for node in ast.walk(_tree(SRC / "cli.py")):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "qamodel"):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "qamodel":
+            found.update(alias.name for alias in node.names)
+    assert found == allowed, sorted(found ^ allowed)
+
+
 def _load_by_path(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

@@ -5,7 +5,7 @@ import pytest
 
 from groundedqa.numkit import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK,
                                ADAM_EPSILON, AdamState, DimensionError,
-                               NumericsError, adam_step, clip_grads_by_norm,
+                               NumericsError, adam_step,
                                finite_diff_grad_check, sigmoid,
                                softmax_rows)
 
@@ -188,27 +188,6 @@ class TestAdam:
         p = np.zeros(3, np.float16)
         with pytest.raises(TypeError, match="float32 or float64"):
             adam_step(p, np.zeros(3, np.float16), AdamState.for_param(p))
-
-
-class TestClip:
-    def test_below_the_bound_is_a_no_op(self):
-        g = np.array([0.3, -0.4])
-        assert clip_grads_by_norm(g, 1.0) == pytest.approx(0.5)
-        assert np.array_equal(g, [0.3, -0.4])
-
-    def test_clipped_norm_equals_the_bound(self):
-        rng = np.random.default_rng(6)
-        g = rng.normal(size=1000)
-        before = g.copy()
-        norm = clip_grads_by_norm(g, 0.25)
-        assert norm > 0.25
-        assert abs(np.linalg.norm(g) - 0.25) < 1e-12
-        assert np.array_equal(g, before * (0.25 / norm))
-
-    def test_zero_gradient_stays_zero(self):
-        g = np.zeros(5)
-        assert clip_grads_by_norm(g, 0.0) == 0.0
-        assert np.array_equal(g, np.zeros(5))
 
 
 class TestGradCheck:
