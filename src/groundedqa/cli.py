@@ -235,6 +235,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     params, mc, vocab = _load_model(cfg)
+    cfg = replace(cfg, preset=None, hidden=mc.hidden, mode=mc.mode)
     records, packs, echo = _open_run(cfg, split="test")
     outcomes = [o if isinstance(o, Exception) else o[0] for o in
                 qamodel.predict_batch(records, packs, params, vocab, mc)]
@@ -306,6 +307,7 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
             f"checkpoint {cfg.checkpoint} reads {mc.conv_cells} conv cells; "
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
+    cfg = replace(cfg, preset=None, hidden=mc.hidden, mode=mc.mode)
     records, packs, _ = _open_run(cfg, split="test")
     for rec, trace in zip(records, qamodel.attention_traces(
             records, packs, params, vocab, mc)):

@@ -41,10 +41,11 @@ holds no more packs than it is using. A record keeps its copies when
 PASS_RECORDS of them fit in the room of its pack (micro scale on
 full-scale packs), and training reads that pack once.
 
-Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too.
-A pass holds its telling records first, so their conv maps and
-projections are a prefix view of the pass's arrays, and maps outcomes
-back to input order. One encoder pass reads every image and question.
+Prediction (`predict_batch`) runs in passes of PASS_RECORDS records too,
+each over every row `_gather` wrote, an unread record's as zeros that fail
+alone. A pass holds its telling records first, so their conv maps and
+projections are a prefix view of its arrays, and maps outcomes back to
+input order. One encoder pass reads every image and question.
 One decode (`_answer_logliks`) then scores every telling candidate of the
 pass: a record's 4 candidates are 4 consecutive rows that its map serves.
 They share step 0, so attention, the `Wh` and `Wr` products and the head
@@ -559,8 +560,8 @@ def predict_batch(records, packs, params, vocab, cfg) -> list:
     Score each record's 4 candidates, in their deterministic presentation
     order, one pass per PASS_RECORDS records. Per record, returns (chosen
     index, scores), ties going to the lowest index, or the exception that
-    failed it: an unreadable pack or a non-finite score (NumericsError)
-    fails its own record, an error raised by a pass each of its records.
+    failed it: first its own unreadable pack, then an error raised by its
+    pass, then NumericsError for a non-finite score.
     `packs` maps an image id to its pack; each pass looks up its images
     when it starts. A record that `_Example.of` rejects raises ValueError.
     """
@@ -575,25 +576,16 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
     """
     One encoder pass over the records' images and questions (`_gather`
     reads their features), then one decode of every telling candidate and
-    one pointing head over the rest. The pass holds its telling records
-    first, in input order, so their conv maps and projections are a prefix
-    of its arrays; the outcomes come back in input order.
+    one pointing head over the rest, on every row, an unread one as zeros.
+    The pass holds its telling records first, in input order, so their conv
+    maps and projections are a prefix of its arrays; `order` maps each row
+    back to its record.
     """
     examples = [_Example.of(rec, vocab) for rec in records]
     order = sorted(range(len(examples)),
                    key=lambda b: examples[b].answers is None)
-    feat, conv, F, failed = _gather([examples[b] for b in order], packs,
-                                    cfg, params["W_img"].dtype)
-    outcomes = [None] * len(examples)
-    for i, e in failed.items():
-        outcomes[order[i]] = e
-    kept = [i for i in range(len(order)) if i not in failed]
-    if not kept:
-        return outcomes
-    if failed:
-        feat, conv, F = feat[kept], conv[kept], F[kept]
-    read = [order[i] for i in kept]  # the input index of each row
-    rows = [examples[b] for b in read]
+    rows = [examples[b] for b in order]
+    feat, conv, F, failed = _gather(rows, packs, cfg, params["W_img"].dtype)
     try:
         run = _forward(params, conv, *_pad([ex.q for ex in rows]), cfg.mode,
                        feat=feat)
@@ -612,11 +604,13 @@ def _predict_pass(records, packs, params, vocab, cfg) -> list:
         if m < len(rows):
             _, scores[m:] = _pointing_head(params, F[m:], h[m:])
     except Exception as e:  # fails every record of the pass
-        for b in read:
-            outcomes[b] = e
-        return outcomes
-    for b, row in zip(read, scores):
-        row = [float(s) for s in row]
+        scores = e
+    outcomes = [None] * len(rows)
+    for i, b in enumerate(order):
+        if i in failed or isinstance(scores, Exception):
+            outcomes[b] = failed.get(i, scores)
+            continue
+        row = [float(s) for s in scores[i]]
         if np.isfinite(row).all():
             outcomes[b] = int(np.argmax(row)), row  # first maximum
         else:
@@ -713,17 +707,15 @@ def _backward(params, run, dH, grads, add):
     _gemm(grads["Wh"], DZ.T, H_prev, add)
     _gemm(grads["Wr"], DZ.T, run.R.reshape(T * B, -1), add)
     _store(grads["b_gates"], DZ.sum(axis=0), add)
-    DV = (DZ @ params["Wv"]).reshape(T, B, n)
-    if run.feat is not None:
-        _gemm(grads["W_img"], DV[0].T, run.feat, add)
-        _store(grads["b_img"], DV[0].sum(axis=0), add)
-        DV = DV[1:]
+    DV = (DZ @ params["Wv"]).reshape(T, B, n)  # step 0 reads the image
+    _gemm(grads["W_img"], DV[0].T, run.feat, add)
+    _store(grads["b_img"], DV[0].sum(axis=0), add)
     if not add:
         grads["W_word"].fill(0)
     # add.at, not +=, so a repeated token gets every one of its steps;
     # padded steps are left out
-    real = np.arange(DV.shape[0])[:, None] < run.lengths
-    np.add.at(grads["W_word"].T, run.ids.T[real], DV[real])
+    real = np.arange(T - 1)[:, None] < run.lengths
+    np.add.at(grads["W_word"].T, run.ids.T[real], DV[1:][real])
     if learned:
         _store(grads["b_a"], DE.sum(), add)
         _store(grads["w_a"], DW.sum(axis=0), add)
@@ -867,9 +859,9 @@ def _gather(examples, packs, cfg, dtype):
     feat_dim), failed) as `slice_pack` casts them: row b holds examples[b]'s
     features (F's only if it points). Each image's pack is looked up once
     and dropped once its rows are copied. `failed` maps the row of each
-    example that could not be read, left unset, to its exception. An
-    example keeps copies of its rows when PASS_RECORDS of them fit in the
-    room of its pack, and later passes read nothing for it.
+    example that could not be read, whose rows are zeroed, to its
+    exception. An example keeps copies of its rows when PASS_RECORDS of
+    them fit in the room of its pack, and later passes read nothing for it.
     """
     fdtype, n = _feature_dtype(dtype), len(examples)
     feat = np.empty((n, cfg.feat_dim), fdtype)
@@ -903,6 +895,8 @@ def _gather(examples, packs, cfg, dtype):
             if PASS_RECORDS * sum(r.nbytes for r in copied) <= room:
                 ex.kept = tuple(r.copy() for r in copied)
         del pack
+    for b in failed:
+        feat[b], conv[b], F[b] = 0, 0, 0
     return feat, conv, F, failed
 
 
@@ -921,9 +915,12 @@ def batch_loss_and_grads(params, cfg, records, packs, vocab, grads):
     """
     examples = [r if isinstance(r, _Example) else _Example.of(r, vocab)
                 for r in records]
-    return np.concatenate([
-        _loss_and_grads(params, cfg, *inputs, grads, add=i > 0)
-        for i, inputs in enumerate(_passes(params, cfg, examples, packs))])
+    losses = []
+    for inputs in _passes(params, cfg, examples, packs):
+        losses.append(_loss_and_grads(params, cfg, *inputs, grads,
+                                      add=bool(losses)))
+        del inputs  # before the next pass gathers
+    return np.concatenate(losses)
 
 
 def attention_traces(records, packs, params, vocab, cfg) -> list:
@@ -933,14 +930,14 @@ def attention_traces(records, packs, params, vocab, cfg) -> list:
     `_passes` raises, and NumericsError on a non-finite weight.
     """
     examples, traces = [_Example.of(rec, vocab) for rec in records], []
-    for chunk, feat, conv, _ in _passes(params, cfg, examples, packs):
+    for chunk, feat, conv, F in _passes(params, cfg, examples, packs):
         run = _training_pass(params, cfg, chunk, feat, conv)
         for b, ex in enumerate(chunk):
             traces.append(list(run.A[:1 + run.lengths[b], b]))
             if not np.isfinite(traces[-1]).all():
                 raise NumericsError(
                     f"non-finite attention on record {ex.record.qa_id}")
-        del run  # its states go before the next pass gathers
+        del run, feat, conv, F  # before the next pass gathers
     return traces
 
 
@@ -953,6 +950,7 @@ def _passes(params, cfg, examples, packs):
         if failed:
             raise failed[min(failed)]
         yield chunk, *inputs
+        del inputs  # so the next pass gathers while none is held here
 
 
 def gradcheck_fns(cfg, record, pack, vocab):

@@ -526,6 +526,24 @@ class TestMode:
             assert pixels and not any(pixels), name  # a constant map
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_echo_names_the_loaded_model(self, world, full_grid_uniform_ckpt,
+                                         tmp_path, command):
+        """The header says what the checkpoint holds (--preset full,
+        --hidden 8, uniform), not the flags' defaults."""
+        out = tmp_path / "o"
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--checkpoint", str(full_grid_uniform_ckpt),
+                    "--out", str(out)) == 0
+        name = "report.txt" if command == "eval" else "config.echo.txt"
+        lines = (out / name).read_text().splitlines()
+        if command == "eval":  # the report's header rows
+            lines = [l[2:] for l in lines if l.startswith("# ")]
+        assert {"hidden=8", "mode=uniform"} <= set(lines), lines
+        assert not any(l.startswith("preset=") for l in lines), lines
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
     @pytest.mark.parametrize("source", ["flag", "inline"])
     def test_mismatched_mode_is_validation_error(self, world, uniform_ckpt,
                                                  tmp_path, capsys, command,

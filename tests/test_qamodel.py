@@ -610,6 +610,27 @@ class TestPredictBatch:
             if i != victim:
                 assert got == want, records[i].qa_id
 
+    def test_a_failed_record_fails_alone_at_paper_scale(self):
+        """Float32 at paper scale, one pass of 5 telling and 3 pointing
+        records. The pass runs an unread record's rows as zeros, so its
+        pointing head keeps its shape, and every other record its bits."""
+        corpus, packs = synthdata.synth_corpus(8, 8, seed=5)
+        records = corpus.records[:5] + corpus.records[8:11]
+        packs = TestFloat32._as_read(packs)
+        vocab = datamodel.build_vocab(corpus.records)
+        cfg = ModelConfig(vocab_size=vocab.size)
+        params = init_params(cfg, 7, np.float32)
+        clean = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        for victim in (0, 5, 6, 7):  # a telling record, then each pointing
+            some = dict(packs)
+            del some[records[victim].image_id]
+            outcomes = qamodel.predict_batch(records, some, params, vocab,
+                                             cfg)
+            assert isinstance(outcomes[victim], KeyError)
+            for i, (got, want) in enumerate(zip(outcomes, clean)):
+                if i != victim:
+                    assert got == want, (victim, records[i].qa_id)
+
     def test_a_missing_pack_fails_each_of_its_records(self):
         """No record is scored on the pack read before its own."""
         vocab, cfg, records, packs = _mixed_world()
@@ -1199,6 +1220,34 @@ class TestFloat32:
                                             cfg)
         assert params["W_out"].dtype == np.float32
         assert acc >= 0.95, (acc, epochs)
+
+
+class TestPassLifetime:
+    """No pass's inputs outlive the gather of the next pass."""
+
+    @pytest.mark.parametrize("run", ["batch_loss_and_grads",
+                                     "attention_traces"])
+    def test_no_pass_outlives_the_next_gather(self, micro_world,
+                                              monkeypatch, run):
+        corpus, packs, vocab, cfg, params = micro_world
+        assert len(corpus.records) == 2 * qamodel.PASS_RECORDS
+        real, convs, alive = qamodel._gather, [], []
+
+        def gather(*args):
+            # how many earlier passes' conv arrays are still alive
+            alive.append(sum(ref() is not None for ref in convs))
+            inputs = real(*args)
+            convs.append(weakref.ref(inputs[1]))
+            return inputs
+
+        monkeypatch.setattr(qamodel, "_gather", gather)
+        if run == "attention_traces":
+            qamodel.attention_traces(corpus.records, packs, params, vocab,
+                                     cfg)
+        else:
+            qamodel.batch_loss_and_grads(params, cfg, corpus.records, packs,
+                                         vocab, zero_grads(cfg))
+        assert alive == [0, 0]
 
 
 class TestMemory:
