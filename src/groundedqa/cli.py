@@ -2,7 +2,7 @@
 Batch driver: synthesize data, split, train, evaluate, gradient-check,
 report statistics, and export attention heat maps.
 
-Exit codes: 0 success, 1 usage, 2 validation, 3 numerics.
+Exit codes: 0 success, 1 usage, 2 validation or out of memory, 3 numerics.
 """
 
 import argparse
@@ -155,9 +155,8 @@ def _open_run(cfg: RunConfig, split):
     and the echo of --out, which it prepares once every input checks out.
     A split that selects no record is a ValidationError. Without --splits,
     the split is `datamodel.make_splits(corpus, --splits-seed)` and the
-    echo says splits=default:<seed>. Each pack is read and checked, then
-    dropped: it must hold its image and the region of every pointing
-    candidate of its records.
+    echo says splits=default:<seed>. Each pack is read once, which checks
+    it (`PackFiles`), and dropped.
     """
     _require(cfg, "corpus", "features")
     corpus = datamodel.parse_corpus(cfg.corpus)
@@ -167,20 +166,9 @@ def _open_run(cfg: RunConfig, split):
                if splits.assignment.get(r.qa_id) == split]
     if not records:
         raise ValidationError(f"no {split} records selected")
-    by_image = {}
-    for rec in records:
-        by_image.setdefault(rec.image_id, []).append(rec)
-    packs = featurestore.PackFiles(cfg.features, by_image)
-    for image_id, recs in by_image.items():
-        regions = packs[image_id].region_features
-        for rec in recs:
-            if rec.kind != "pointing":
-                continue
-            for rid in (rec.answer, *rec.distractors):
-                if rid not in regions:
-                    raise ValidationError(
-                        f"{packs.paths[image_id]}: no region feature for "
-                        f"{rid!r}, a candidate of record {rec.qa_id}")
+    packs = featurestore.PackFiles(cfg.features, records)
+    for image_id in packs.paths:
+        packs[image_id]  # reads and checks the pack, then drops it
     return records, packs, _prepare_out(replace(
         cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
 
@@ -339,7 +327,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         print("commands: " + " | ".join(COMMANDS), file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, ValueError, OSError) as e:
+    except (ValidationError, ValueError, OSError, MemoryError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericsError, FloatingPointError) as e:

@@ -348,20 +348,6 @@ def build_vocab(records) -> Vocabulary:
     return Vocabulary.from_tokens([UNK, END_ANSWER] + tokens)
 
 
-def top_k_answers(records, k: int):
-    """
-    Top-k most frequent telling answer strings (ties lexicographic) and the
-    fraction of training answers they cover.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    counts = Counter(r.answer for r in records if r.kind == "telling")
-    total = sum(counts.values())
-    ranked = sorted(counts, key=lambda a: (-counts[a], a))[:k]
-    coverage = (sum(counts[a] for a in ranked) / total) if total else 0.0
-    return ranked, coverage
-
-
 @dataclass
 class CorpusStats:
     avg_q_len: float
@@ -385,7 +371,7 @@ def _mean_sd(values):
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Question/answer length statistics and top-answer coverage."""
+    """Question/answer length statistics and top-1000-answer coverage."""
     q_lens = [len(tokenize(r.question)) for r in corpus.records]
     telling = [r for r in corpus.records if r.kind == "telling"]
     a_lens = [len(tokenize(r.answer)) for r in telling]
@@ -393,7 +379,8 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     avg_a, sd_a = _mean_sd(a_lens)
     n_t = len(telling)
     long_frac = (sum(1 for n in a_lens if n > 2) / n_t) if n_t else 0.0
-    _, coverage = top_k_answers(telling, 1000) if n_t else ([], 0.0)
+    counts = sorted(Counter(r.answer for r in telling).values())
+    coverage = sum(counts[-1000:]) / n_t if n_t else 0.0
     hist = {k: (sum(1 for n in a_lens if n == k) / n_t if n_t else 0.0)
             for k in (1, 2, 3)}
     return CorpusStats(

@@ -12,7 +12,7 @@ file's bytes, and the model casts them to its params' dtype as it reads
 them (a no-op for a float32 model). A features
 directory holds one pack per image, `<image_id>.fpk` (see `pack_path`); a
 run reads only the packs of the records it selects, through `PackFiles`,
-which reads a pack each time it is looked up and keeps none. A run checks
+which reads and checks a pack at each lookup and keeps none. A run reads
 each pack once when it opens; then every pass of records, in training and
 in prediction, copies its records' features and drops each pack. A record
 keeps its copies, and its pack is read once, when a pass's worth of them
@@ -71,12 +71,18 @@ def pack_path(features_dir, image_id: str) -> str:
 class PackFiles:
     """
     Image id -> its pack, read from its file (`pack_path`) at each lookup
-    and checked to hold that image. Nothing is kept: a run holds only the
-    packs it is using.
+    and checked at each: it must hold that image and the region of every
+    pointing candidate of `records` on it. Nothing is kept: a run holds
+    only the packs it is using.
     """
 
-    def __init__(self, features_dir, image_ids):
-        self.paths = {i: pack_path(features_dir, i) for i in image_ids}
+    def __init__(self, features_dir, records):
+        self.paths, self.regions = {}, {}
+        for rec in records:
+            self.paths[rec.image_id] = pack_path(features_dir, rec.image_id)
+            self.regions.setdefault(rec.image_id, []).extend(
+                (rid, rec.qa_id) for rid in (rec.answer, *rec.distractors)
+                if rec.kind == "pointing")
 
     def __getitem__(self, image_id) -> FeaturePack:
         path = self.paths[image_id]
@@ -84,6 +90,10 @@ class PackFiles:
         if pack.image_id != image_id:
             raise FormatError(f"{path}: holds the pack of image "
                               f"{pack.image_id!r}")
+        for rid, qa_id in self.regions[image_id]:
+            if rid not in pack.region_features:
+                raise FormatError(f"{path}: no region feature for {rid!r}, "
+                                  f"a candidate of record {qa_id}")
         return pack
 
 

@@ -19,10 +19,10 @@ outside the time loop, and each step's `Wh`, `Wr` and `W_he` products,
 forward and backward, take the step's B rows at once. A product of 2 to
 FEW_ROWS rows with a weight larger than BLOCK_BYTES reads the weight one
 L2-sized block at a time: forward `x @ W.T` as `W[i:i+r] @ x.T` over
-blocks of W's rows (`_by_t`: `Wh`, `Wr`, `W_he`, and `W_img` and `W_ptr`
-in the heads), backward `dz @ W` summed over blocks of W's rows (`_by`:
-`Wh`, `Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode`
-keeps its bits. Each pass makes that choice once per weight.
+blocks of W's rows (`_by_t`: `Wh`, `Wr`, `W_he`, and `W_img` at the image
+step), backward `dz @ W` summed over blocks of W's rows (`_by`: `Wh`,
+`Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode` keeps its
+bits. Each pass makes that choice once per weight.
 A record's padded steps get no head gradient, so their gate-gradient rows
 are exactly zero. Backward takes each weight gradient once per pass:
 `Wv`, `Wh`, `Wr` and `b_gates` from the stacked (T*B, 4h) gate gradients,
@@ -51,8 +51,9 @@ pass: a record's 4 candidates are 4 consecutive rows that its map serves.
 They share step 0, so attention, the `Wh` and `Wr` products and the head
 at the encoder's final state run once per record there; only each
 token's `Wv` input differs, and later tokens run as 4 rows per map. One
-pointing head scores every pointing record's candidates. `predict_mc`,
-`encode`, `telling_answer_loglik` and the one-record losses run at B = 1.
+plain `W_ptr` GEMM scores every pointing record's candidates, at any row
+count. `predict_mc`, `encode`, `telling_answer_loglik` and the one-record
+losses run at B = 1.
 
 Every public loss function sets `grads` to its gradients, whatever it
 held; only the later passes of a `batch_loss_and_grads` call add.
@@ -504,13 +505,13 @@ def _pointing_head(params, F, h):
     """
     Candidate region features F (P, 4, feat_dim) through W_ptr, b_ptr, and
     their dot products with the states h (P, hidden): (the transformed
-    candidates (P, 4, hidden), scores (P, 4)).
+    candidates (P, 4, hidden), scores (P, 4)), from one plain GEMM at any P.
     """
     if params["W_ptr"].shape[1] != F.shape[-1]:
         raise DimensionError(
             f"W_ptr {params['W_ptr'].shape} vs regions {F.shape}")
     rows = F.reshape(-1, F.shape[-1])
-    transformed = (_by_t(params["W_ptr"], len(rows))(rows)
+    transformed = ((params["W_ptr"] @ rows.T).T
                    + params["b_ptr"]).reshape(F.shape[:-1] + (-1,))
     return transformed, (transformed @ h[:, :, None])[:, :, 0]
 

@@ -460,7 +460,25 @@ class TestPipeline:
         ((("qa_pairs", 0, "groundings"), [{"grounding_id": "g0",
                                            "name": "cup"}]),
          "qa_pairs[0].groundings[0], record 't00000': missing field 'box'"),
-        ((("images",), _MISSING), "corpus.json: missing field 'images'")])
+        ((("images",), _MISSING), "corpus.json: missing field 'images'"),
+        # well-shaped entries that break an invariant of a record or corpus
+        ((("qa_pairs", 6, "groundings", 0, "name"), ""),
+         "grounding p00000_r0 has empty name"),
+        ((("qa_pairs", 0, "kind"), "story"), "t00000: unknown kind 'story'"),
+        ((("qa_pairs", 0, "category"), "whence"),
+         "t00000: unknown category 'whence'"),
+        ((("qa_pairs", 0, "category"), "which"),
+         "t00000: kind telling inconsistent with category which"),
+        ((("qa_pairs", 0, "question"), "what is it"),
+         "t00000: question must end with '?'"),
+        ((("qa_pairs", 6, "distractors", 0), "nowhere"),
+         "p00000: pointing candidates ['nowhere'] do not resolve to "
+         "groundings"),
+        ((("images", 0, "width"), 0), "image imgt00000: bad dims 0x"),
+        ((("images", 0, "height"), -1), "image imgt00000: bad dims"),
+        ((("qa_pairs", 1, "qa_id"), "t00000"), "duplicate qa_id t00000"),
+        ((("qa_pairs", 0, "image_id"), "elsewhere"),
+         "t00000: unknown image elsewhere")])
     def test_corpus_shape_error_names_the_field(self, world, tmp_path, capsys,
                                                 edit, named):
         with open(world["corpus"]) as f:
@@ -613,6 +631,18 @@ class TestInputs:
                     "--epochs", "1", "--out", str(tmp_path / "o")) == 2
         assert str(gone) in capsys.readouterr().err
 
+    def test_a_model_too_large_to_allocate_is_validation_error(
+            self, world, tmp_path, capsys):
+        # about 3 PiB of parameters, more than any user address space, so
+        # numpy refuses them before it touches memory
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--hidden", "10000000",
+                    "--epochs", "0", "--out", str(tmp_path / "o")) == 2
+        assert "validation error: Unable to allocate" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     def test_eval_with_empty_features_is_validation_error(
             self, world, untrained_ckpt, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -754,16 +784,21 @@ class TestInputs:
                     if n.endswith(".pgm")]
 
 
+def _first_pointing(world, split):
+    """The `split` record of the world that points, lowest qa id first."""
+    assignment = datamodel.read_splits(world["splits"]).assignment
+    return min((r for r in datamodel.parse_corpus(world["corpus"]).records
+                if r.kind == "pointing" and assignment[r.qa_id] == split),
+               key=lambda r: r.qa_id)
+
+
 def _edit_regions(world, tmp_path, split, edit):
     """
     Copy the packs; replace the region features of the first pointing
     `split` record's pack by edit(its regions, the record). Returns the
     features directory, that pack's path and the record.
     """
-    assignment = datamodel.read_splits(world["splits"]).assignment
-    rec = min((r for r in datamodel.parse_corpus(world["corpus"]).records
-               if r.kind == "pointing" and assignment[r.qa_id] == split),
-              key=lambda r: r.qa_id)
+    rec = _first_pointing(world, split)
     features = tmp_path / "packs"
     shutil.copytree(world["features"], features)
     path = featurestore.pack_path(str(features), rec.image_id)
@@ -873,6 +908,165 @@ class TestPreflight:
             in (out / "report.txt").read_text()
         err = capsys.readouterr().err
         assert "1 of 4 records failed" in err and failed[0] in err
+
+
+class TestPackReplaced:
+    """A pack replaced after the run opened is checked at every later read
+    as it was at the first: a run fails naming the pack, not the model."""
+
+    @staticmethod
+    def _drop_a_region_on_reread(world, monkeypatch, split):
+        """From its second read on, the first pointing `split` record's
+        pack lacks one of its candidate regions. Returns the pack's path,
+        the region and the record's qa id."""
+        rec = _first_pointing(world, split)
+        path = featurestore.pack_path(world["features"], rec.image_id)
+        real, reads = featurestore.read_feature_pack, []
+
+        def replaced(p):
+            pack = real(p)
+            if p == path:
+                reads.append(p)
+                if len(reads) > 1:
+                    pack.region_features.pop(rec.distractors[0])
+            return pack
+
+        monkeypatch.setattr(featurestore, "read_feature_pack", replaced)
+        return path, rec.distractors[0], rec.qa_id
+
+    @pytest.mark.parametrize("command", ["train", "heatmap"])
+    def test_a_run_exits_2_naming_the_pack(self, world, full_grid_ckpt,
+                                           tmp_path, monkeypatch, capsys,
+                                           command):
+        split = "train" if command == "train" else "test"
+        path, rid, qa_id = self._drop_a_region_on_reread(world, monkeypatch,
+                                                         split)
+        extra = (["--epochs", "1"] if command == "train"
+                 else ["--checkpoint", str(full_grid_ckpt)])
+        out = tmp_path / "o"
+        assert _run(command, "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], *extra,
+                    "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: no region feature for {rid!r}, a candidate of " \
+            f"record {qa_id}" in err
+        assert not (out / "model.ckpt").exists()
+        assert not [n for n in os.listdir(out) if n.endswith(".pgm")]
+
+    def test_eval_names_the_pack_on_its_error_line(
+            self, world, untrained_ckpt, tmp_path, monkeypatch, capsys):
+        path, rid, qa_id = self._drop_a_region_on_reread(world, monkeypatch,
+                                                         "test")
+        out = tmp_path / "o"
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(out)) == 2
+        errors = [l for l in (out / "report.txt").read_text().splitlines()
+                  if l.startswith("# error\t")]
+        assert errors == [f"# error\t{qa_id}\tFormatError: {path}: no "
+                          f"region feature for {rid!r}, a candidate of "
+                          f"record {qa_id}"]
+        assert "1 of 4 records failed" in capsys.readouterr().err
+
+
+class TestTypedRejections:
+    """Each input the model cannot use fails with its own typed error, and
+    the command exits with its code, naming what was wrong."""
+
+    def test_bad_split_label(self, world, tmp_path, capsys):
+        splits = tmp_path / "splits.tsv"
+        splits.write_text("t00000\tdev\n")
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", world["features"], "--splits", str(splits),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "bad split label 'dev' for t00000" in capsys.readouterr().err
+
+    def test_split_of_an_empty_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"images": [], "qa_pairs": []}))
+        assert _run("split", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "cannot split an empty corpus" in capsys.readouterr().err
+
+    @staticmethod
+    def _patch_a_test_pack(world, tmp_path, raw, past_the_id=False):
+        """Copy the packs; overwrite one test image's pack with `raw` from
+        the first byte of its image id, or `past_the_id`, of its global
+        feature. Returns the features directory and that image id."""
+        features = tmp_path / "packs"
+        shutil.copytree(world["features"], features)
+        image_id = min(_split_images(world, "test"))
+        path = featurestore.pack_path(str(features), image_id)
+        at = len(featurestore.MAGIC) + 2 + 4  # magic, version, id length
+        at += len(image_id.encode()) if past_the_id else 0
+        with open(path, "r+b") as f:
+            f.seek(at)
+            f.write(raw)
+        return str(features), image_id
+
+    def test_a_pack_holding_nan_stops_eval_before_any_pass(
+            self, world, untrained_ckpt, tmp_path, monkeypatch, capsys):
+        features, image_id = self._patch_a_test_pack(
+            world, tmp_path, np.array([np.nan], "<f4").tobytes(),
+            past_the_id=True)
+        passes = _count_passes(monkeypatch)
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", features, "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert not passes
+        assert f"non-finite features in pack {image_id}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_pack_id_that_is_not_utf8(self, world, untrained_ckpt,
+                                        tmp_path, capsys):
+        features, _ = self._patch_a_test_pack(world, tmp_path, b"\xff")
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", features, "--splits", world["splits"],
+                    "--checkpoint", str(untrained_ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "pack: image_id is not UTF-8" in capsys.readouterr().err
+
+    def test_a_checkpoint_size_below_1(self, world, untrained_ckpt, tmp_path,
+                                       capsys):
+        data = bytearray(untrained_ckpt.read_bytes())
+        at = len(qamodel.CKPT_MAGIC) + 2  # the first config size, hidden
+        data[at:at + 8] = (0).to_bytes(8, "little")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data)
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "o")) == 2
+        assert "checkpoint config has a size below 1: {'hidden': 0" \
+            in capsys.readouterr().err
+
+    def test_a_non_finite_batch_loss_names_record_epoch_and_batch(
+            self, world, tmp_path, monkeypatch, capsys):
+        """The second record of epoch 1's second batch gets a NaN loss."""
+        real, batches = qamodel.batch_loss_and_grads, []
+
+        def poisoned(params, cfg, records, *args):
+            losses = real(params, cfg, records, *args)
+            batches.append(records)
+            if len(batches) == 5:  # 3 batches of 2 records per epoch
+                losses[1] = np.nan
+            return losses
+
+        monkeypatch.setattr(qamodel, "batch_loss_and_grads", poisoned)
+        assert _run("train", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--epochs", "2",
+                    "--batch", "2", "--out", str(tmp_path / "o")) == 3
+        victim = batches[4][1].record.qa_id
+        assert f"non-finite loss on {victim} (epoch 1, batch at 2)" \
+            in capsys.readouterr().err
+        assert len(batches) == 5
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
 class TestGradcheck:

@@ -12,8 +12,8 @@ from groundedqa.datamodel import (END_ANSWER, UNK, BoundingBox, Corpus,
                                   build_vocab, corpus_stats, dedup_groundings,
                                   iou, make_splits, mc_candidates,
                                   object_frequency_bins, parse_corpus,
-                                  read_splits, tokenize, top_k_answers,
-                                  write_corpus, write_splits)
+                                  read_splits, tokenize, write_corpus,
+                                  write_splits)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "corpus6.json")
 
@@ -177,33 +177,6 @@ class TestVocabulary:
             assert v.index_to_token[idx] == tok
 
 
-class TestTopKAnswers:
-    def _records(self, spec):
-        out = []
-        i = 0
-        for answer, count in spec.items():
-            for _ in range(count):
-                out.append(_telling(qa_id=f"t{i}", answer=answer))
-                i += 1
-        return out
-
-    def test_k_covers_everything(self):
-        recs = self._records({"a": 2, "b": 1})
-        answers, cov = top_k_answers(recs, 10)
-        assert set(answers) == {"a", "b"}
-        assert cov == 1.0
-
-    def test_hand_counts(self):
-        recs = self._records({"a": 3, "b": 2, "c": 1})
-        answers, cov = top_k_answers(recs, 2)
-        assert answers == ["a", "b"]
-        assert abs(cov - 5.0 / 6.0) < 1e-12
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            top_k_answers([], 0)
-
-
 class TestCorpusStats:
     def test_single_record(self):
         c = Corpus(images=[("im", 10, 10)],
@@ -231,6 +204,14 @@ class TestCorpusStats:
         assert abs(st.long_answer_frac - 1.0 / 3.0) < 1e-12
         assert st.answer_len_hist == {1: 1 / 3, 2: 1 / 3, 3: 1 / 3}
         assert st.top_1000_coverage == 1.0
+
+    def test_top_1000_coverage_cuts_at_1000_answers(self):
+        # 1,001 distinct answers, one of them twice: the top 1000 hold the
+        # repeated one and 999 others
+        recs = [_telling(qa_id=f"t{i}", answer=f"w{i}") for i in range(1001)]
+        recs.append(_telling(qa_id="again", answer="w500"))
+        st = corpus_stats(Corpus(images=[("im", 10, 10)], records=recs))
+        assert st.top_1000_coverage == 1001 / 1002
 
     def test_invariant_under_duplication(self):
         base = parse_corpus(FIXTURE)

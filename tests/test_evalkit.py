@@ -120,6 +120,11 @@ class TestAttentionHeatmap:
         with pytest.raises(ValueError):
             attention_heatmap([])
 
+    def test_a_trace_that_is_not_a_square_grid(self):
+        with pytest.raises(ValueError,
+                           match="trace length 5 is not a square grid"):
+            attention_heatmap([np.full(5, 0.2)])
+
 
 class TestPeakInBox:
     def _map_with_peak(self, row, col, width=140, height=140):

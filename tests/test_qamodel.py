@@ -103,7 +103,9 @@ class TestInit:
 class TestBlockedProducts:
     """`_by_t` (x @ W.T) and `_by` (x @ W) against plain numpy: 2 to
     FEW_ROWS rows read a weight larger than BLOCK_BYTES in blocks, and one
-    row or more than FEW_ROWS keep the plain product's bits."""
+    row or more than FEW_ROWS keep the plain product's bits. A pass reads
+    `Wh`, `Wr`, `W_he` and `W_img` so; the pointing head's `W_ptr` is one
+    plain GEMM at any row count, however many blocks it spans."""
 
     # 300 rows: not a multiple of the block in float64 or float32
     SHAPE = (300, 300)
@@ -631,6 +633,33 @@ class TestPredictBatch:
                 if i != victim:
                     assert got == want, (victim, records[i].qa_id)
 
+    @pytest.mark.parametrize("mode", [LEARNED, UNIFORM])
+    def test_a_pointing_record_scores_the_same_in_any_pass(self, mode):
+        """Float32 at paper scale: passes of 2 to 8 records that hold 1, 2,
+        3 or 8 pointing records among telling ones give every pointing
+        record bitwise its outcome in the whole list's run, and every
+        record its choice. (The vocabulary head still lets a telling
+        record's scores move in their last bits with the pass.)"""
+        corpus, packs = synthdata.synth_corpus(8, 8, seed=5)
+        packs = TestFloat32._as_read(packs)
+        vocab = datamodel.build_vocab(corpus.records)
+        cfg = ModelConfig(vocab_size=vocab.size, mode=mode)
+        params = init_params(cfg, 7, np.float32)
+        records = corpus.records
+        whole = dict(zip((r.qa_id for r in records), qamodel.predict_batch(
+            records, packs, params, vocab, cfg)))
+        t, p = records[:8], records[8:]
+        passes = [[t[0], p[0], t[1], t[2]], [p[1], t[3], p[2]],
+                  [t[4], p[3], t[5], p[4], t[6], p[5], t[7]], p[::-1],
+                  [t[7], t[6], p[6], p[7]]]
+        for batch in passes:
+            for rec, got in zip(batch, qamodel.predict_batch(
+                    batch, packs, params, vocab, cfg)):
+                want = whole[rec.qa_id]
+                assert got[0] == want[0], rec.qa_id
+                if rec.kind == "pointing":
+                    assert got == want, rec.qa_id
+
     def test_a_missing_pack_fails_each_of_its_records(self):
         """No record is scored on the pack read before its own."""
         vocab, cfg, records, packs = _mixed_world()
@@ -646,6 +675,25 @@ class TestPredictBatch:
             if i in (1, 3):
                 assert isinstance(got, KeyError), records[i].qa_id
             else:
+                assert got == want, records[i].qa_id
+
+    def test_a_missing_region_fails_its_record_alone(self):
+        """A pack that lacks one of a pointing record's candidate regions
+        still serves a telling record on the same image."""
+        vocab, cfg, records, packs = _mixed_world()
+        params = init_params(cfg, 7)
+        records = list(records)  # t3 moves onto p2's image
+        records[3] = replace(records[3], image_id=records[2].image_id)
+        clean = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        pack = packs[records[2].image_id]
+        packs = dict(packs)
+        packs[pack.image_id] = replace(pack, region_features={
+            rid: f for rid, f in pack.region_features.items()
+            if rid != records[2].distractors[0]})
+        outcomes = qamodel.predict_batch(records, packs, params, vocab, cfg)
+        assert isinstance(outcomes[2], KeyError)
+        for i, (got, want) in enumerate(zip(outcomes, clean)):
+            if i != 2:
                 assert got == want, records[i].qa_id
 
     def test_a_failed_pass_fails_each_of_its_records(self, monkeypatch):
