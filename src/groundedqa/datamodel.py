@@ -293,15 +293,16 @@ def read_splits(path) -> SplitAssignment:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            fields = line.split("\t")
+            fields, at = line.split("\t"), f"{path}:{lineno}"
             if len(fields) != 2:
                 raise CorpusError(
-                    f"{path}:{lineno}: expected qa_id<TAB>split, got {line!r}")
+                    f"{at}: expected qa_id<TAB>split, got {line!r}")
             qa_id, split = fields
             if split not in ("train", "val", "test"):
-                raise CorpusError(f"bad split label {split!r} for {qa_id}")
+                raise CorpusError(
+                    f"{at}: bad split label {split!r} for {qa_id}")
             if qa_id in assignment:
-                raise CorpusError(f"{path}: duplicate qa_id {qa_id}")
+                raise CorpusError(f"{at}: duplicate qa_id {qa_id}")
             assignment[qa_id] = split
     return SplitAssignment(assignment=assignment)
 

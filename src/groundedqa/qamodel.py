@@ -21,8 +21,8 @@ FEW_ROWS rows with a weight larger than BLOCK_BYTES reads the weight one
 L2-sized block at a time: forward `x @ W.T` as `W[i:i+r] @ x.T` over
 blocks of W's rows (`_by_t`: `Wh`, `Wr`, `W_he`, and `W_img` at the image
 step), backward `dz @ W` summed over blocks of W's rows (`_by`: `Wh`,
-`Wr`, `W_he`). A one-row pass keeps the plain GEMV, so `encode` keeps its
-bits. Each pass makes that choice once per weight.
+`Wr`, `W_he`); forward, one row is row 0 of two rows, never a GEMV. Each
+pass makes that choice once per weight.
 A record's padded steps get no head gradient, so their gate-gradient rows
 are exactly zero. Backward takes each weight gradient once per pass:
 `Wv`, `Wh`, `Wr` and `b_gates` from the stacked (T*B, 4h) gate gradients,
@@ -52,8 +52,8 @@ They share step 0, so attention, the `Wh` and `Wr` products and the head
 at the encoder's final state run once per record there; only each
 token's `Wv` input differs, and later tokens run as 4 rows per map. One
 plain `W_ptr` GEMM scores every pointing record's candidates, at any row
-count. `predict_mc`, `encode`, `telling_answer_loglik` and the one-record
-losses run at B = 1.
+count, and the vocabulary head in fixed blocks of rows, so a record scores
+the same in any pass: `predict_mc`, a pass of one, scores what `eval` does.
 
 Every public loss function sets `grads` to its gradients, whatever it
 held; only the later passes of a `batch_loss_and_grads` call add.
@@ -206,11 +206,15 @@ def _by_t(W, rows, out=None):
     FEW_ROWS rows and W larger than BLOCK_BYTES, W is read one block of
     rows at a time, each block staying in L2 while every row of x passes
     over it: 8 float32 rows against a 2048x512 W took 229 us so, against
-    332 us in one GEMM and 135 us for one row's GEMV (OpenBLAS, one
-    thread). One row, or more than FEW_ROWS, keeps the one product. The
-    choice is made here, once per pass; a blocked result is a view of a
-    buffer that the next call overwrites.
+    332 us in one GEMM (OpenBLAS, one thread). One row is row 0 of a
+    two-row product, not a GEMV; more than FEW_ROWS keep the one product.
+    The choice is made here, once per pass; a blocked or one-row result is
+    a view of a buffer that the next call overwrites.
     """
+    if rows == 1:  # row 0 of a two-row product: the bits of a pass of two
+        two = _by_t(W, 2)
+        out = np.empty((len(W), 1), W.dtype) if out is None else out
+        return lambda x: np.copyto(out.T, two(x.repeat(2, 0))[:1]) or out.T
     if not 1 < rows <= FEW_ROWS or W.nbytes <= BLOCK_BYTES:
         if out is None:
             return lambda x: (W @ x.T).T
@@ -495,8 +499,13 @@ def encode(pack, question_tokens, params, cfg) -> EncoderState:
 
 def _answer_head(params, hs, targets, src=None):
     """Vocabulary softmax at each row of hs -> (probs, log p(target)), each
-    target read at its row src[i] of hs (by default row i)."""
-    probs = softmax_rows(hs @ params["W_out"].T + params["b_out"])
+    target read at its row src[i] of hs (by default row i). The logits are
+    one GEMM per zero-padded block of 4 * PASS_RECORDS rows, so a row's bits
+    depend neither on its position nor on how many rows there are."""
+    rows = 4 * PASS_RECORDS
+    blocks = np.pad(hs, ((0, -len(hs) % rows), (0, 0)))
+    logits = blocks.reshape(-1, rows, hs.shape[1]) @ params["W_out"].T
+    probs = softmax_rows(np.vstack(logits)[:len(hs)] + params["b_out"])
     src = np.arange(len(targets)) if src is None else src
     return probs, np.log(np.maximum(probs[src, targets], 1e-12))
 

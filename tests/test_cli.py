@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groundedqa import cli, datamodel, featurestore, qamodel
+from groundedqa import cli, datamodel, evalkit, featurestore, qamodel
 from groundedqa.numkit import GradCheckResult
 
 
@@ -246,6 +246,29 @@ class TestPipeline:
                     "--out", str(rep)) == 0
         text = (rep / "report.txt").read_text()
         assert "overall\t" in text and "category\tcount\taccuracy" in text
+
+    @pytest.mark.parametrize("ckpt", ["trained_run",
+                                      "full_grid_uniform_ckpt"])
+    def test_eval_reports_what_predict_mc_scores(self, world, request,
+                                                 tmp_path, ckpt):
+        """Acceptance test 04 scores `predict_mc` one record at a time;
+        `eval`'s report is `evalkit.tally` of those outcomes, on the same
+        checkpoint and split."""
+        path = request.getfixturevalue(ckpt)
+        path = path / "model.ckpt" if path.is_dir() else path
+        assert _run("eval", "--corpus", world["corpus"],
+                    "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(path),
+                    "--out", str(tmp_path / "rep")) == 0
+        params, mc, vocab = qamodel.load_checkpoint(path)
+        test = _split_records(world, "test")
+        report = evalkit.evaluate(
+            lambda rec, pack: qamodel.predict_mc(rec, pack, params, vocab,
+                                                 mc)[0],
+            test, featurestore.PackFiles(world["features"], test))
+        body = [l for l in (tmp_path / "rep" / "report.txt").read_text()
+                .splitlines() if not l.startswith("# ")]
+        assert not report.errors and body == report.lines()
 
     def test_stats(self, world):
         out = world["root"] / "stats"
@@ -584,11 +607,16 @@ def _test_split(tmp_path, records):
     return str(path)
 
 
+def _split_records(world, split):
+    """The world's records in one split, in corpus order."""
+    assignment = datamodel.read_splits(world["splits"]).assignment
+    return [r for r in datamodel.parse_corpus(world["corpus"]).records
+            if assignment[r.qa_id] == split]
+
+
 def _split_images(world, split):
     """The image ids of the world's records in one split."""
-    assignment = datamodel.read_splits(world["splits"]).assignment
-    return {r.image_id for r in datamodel.parse_corpus(world["corpus"]).records
-            if assignment[r.qa_id] == split}
+    return {r.image_id for r in _split_records(world, split)}
 
 
 class TestInputs:

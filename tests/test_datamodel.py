@@ -145,8 +145,16 @@ class TestSplits:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "splits.tsv"
         path.write_text("t0\ttrain\nt1\tval\nt0\ttest\n")
-        with pytest.raises(CorpusError, match="t0"):
+        with pytest.raises(CorpusError) as err:
             read_splits(path)
+        assert str(err.value) == f"{path}:3: duplicate qa_id t0"
+
+    def test_bad_label_names_its_line(self, tmp_path):
+        path = tmp_path / "splits.tsv"
+        path.write_text("# header\nt0\ttrain\nt1\tdev\n")
+        with pytest.raises(CorpusError) as err:
+            read_splits(path)
+        assert str(err.value) == f"{path}:3: bad split label 'dev' for t1"
 
     @pytest.mark.parametrize("line", ["t1 val", "t1\tval\tx"])
     def test_line_without_exactly_one_tab_rejected(self, tmp_path, line):
