@@ -129,36 +129,38 @@ def _write_text(cfg: RunConfig, name, lines, echo=()):
                      [*(f"# {e}" for e in echo), *lines])
 
 
-def _prepare_out(cfg: RunConfig):
+def _prepare_out(cfg: RunConfig, mc=None, dtype=None):
+    """
+    Make --out, log the command in its run.log and write config.echo.txt,
+    the header of every report the command writes: command=, each flag of
+    its `_COMMAND_TABLE` row that is set (splits=default:<seed> without
+    --splits), --out, and, when it runs the model `mc` in `dtype`, the
+    model's hidden, mode, vocab_size and dtype in place of those flags.
+    """
     os.makedirs(cfg.out, exist_ok=True)
-    echo = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
-            if getattr(cfg, f.name) is not None]
+    _, required, reads = _COMMAND_TABLE[cfg.command]
+    model = {} if mc is None else dict(
+        hidden=mc.hidden, mode=mc.mode, vocab_size=mc.vocab_size,
+        dtype=np.dtype(dtype).name)
+    flags = {name: getattr(cfg, name) for name
+             in ("command", *required, *reads, "out") if name not in model}
+    if "splits" in flags and cfg.splits is None:
+        flags["splits"] = f"default:{cfg.splits_seed}"
+    echo = [f"{k}={v}" for k, v in {**flags, **model}.items() if v is not None]
     _write_text(cfg, "config.echo.txt", echo)
     with open(os.path.join(cfg.out, "run.log"), "a") as f:
         f.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {cfg.command}\n")
     return echo
 
 
-def _require(cfg: RunConfig, *names):
-    for name in names:
-        value = getattr(cfg, name)
-        if value is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required")
-        if not os.path.exists(value):  # every required flag is a path
-            raise UsageError(f"--{name.replace('_', '-')}: "
-                             f"no such path {value!r}")
-
-
 def _open_run(cfg: RunConfig, split):
     """
-    The records of `split`, the `featurestore.PackFiles` of their images
-    and the echo of --out, which it prepares once every input checks out.
+    The records of `split` and the `featurestore.PackFiles` of their
+    images, once every input checks out; the caller then prepares --out.
     A split that selects no record is a ValidationError. Without --splits,
-    the split is `datamodel.make_splits(corpus, --splits-seed)` and the
-    echo says splits=default:<seed>. Each pack is read once, which checks
-    it (`PackFiles`), and dropped.
+    the split is `datamodel.make_splits(corpus, --splits-seed)`. Each pack
+    is read once, which checks it (`PackFiles`), and dropped.
     """
-    _require(cfg, "corpus", "features")
     corpus = datamodel.parse_corpus(cfg.corpus)
     splits = (datamodel.read_splits(cfg.splits) if cfg.splits
               else datamodel.make_splits(corpus, cfg.splits_seed))
@@ -169,8 +171,7 @@ def _open_run(cfg: RunConfig, split):
     packs = featurestore.PackFiles(cfg.features, records)
     for image_id in packs.paths:
         packs[image_id]  # reads and checks the pack, then drops it
-    return records, packs, _prepare_out(replace(
-        cfg, splits=cfg.splits or f"default:{cfg.splits_seed}"))
+    return records, packs
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,6 @@ def _cmd_synth(cfg: RunConfig) -> int:
 
 
 def _cmd_split(cfg: RunConfig) -> int:
-    _require(cfg, "corpus")
     corpus = datamodel.parse_corpus(cfg.corpus)
     echo = _prepare_out(cfg)
     splits = datamodel.make_splits(corpus, cfg.splits_seed)
@@ -202,9 +202,10 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    records, packs, echo = _open_run(cfg, split="train")
+    records, packs = _open_run(cfg, split="train")
     vocab = datamodel.build_vocab(records)
     mc = _model_config(cfg, vocab.size)
+    echo = _prepare_out(cfg, mc, np.float32)
     tc = qamodel.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch,
                              learning_rate=cfg.lr, seed=cfg.seed)
     # float32 halves the memory traffic of every pass and of Adam; no local
@@ -221,10 +222,9 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    _require(cfg, "checkpoint")
     params, mc, vocab = _load_model(cfg)
-    cfg = replace(cfg, preset=None, hidden=mc.hidden, mode=mc.mode)
-    records, packs, echo = _open_run(cfg, split="test")
+    records, packs = _open_run(cfg, split="test")
+    echo = _prepare_out(cfg, mc, params["W_img"].dtype)
     outcomes = [o if isinstance(o, Exception) else o[0] for o in
                 qamodel.predict_batch(records, packs, params, vocab, mc)]
     report = evalkit.tally(records, outcomes)
@@ -241,7 +241,6 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
     if cfg.preset != "micro":  # its packs are synthesized at micro shapes
         raise UsageError(f"--preset {cfg.preset}: gradcheck runs at the "
                          f"micro preset only")
-    echo = _prepare_out(cfg)
     micro = qamodel.ModelConfig.micro()
     corpus, packs = synthdata.synth_corpus(
         2, 2, cfg.seed, global_dim=micro.feat_dim,
@@ -249,6 +248,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
     vocab = datamodel.build_vocab(corpus.records)
     mc = _model_config(cfg, vocab.size)
     params = qamodel.init_params(mc, cfg.seed)
+    echo = _prepare_out(cfg, mc, params["W_img"].dtype)
     rows, worst = [], 0.0
     for rec in corpus.records:
         pack = packs[rec.image_id]
@@ -268,7 +268,6 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def _cmd_stats(cfg: RunConfig) -> int:
-    _require(cfg, "corpus")
     corpus = datamodel.parse_corpus(cfg.corpus)
     echo = _prepare_out(cfg)
     stats = datamodel.corpus_stats(corpus)
@@ -288,15 +287,14 @@ def _cmd_stats(cfg: RunConfig) -> int:
 
 
 def _cmd_heatmap(cfg: RunConfig) -> int:
-    _require(cfg, "checkpoint")
     params, mc, vocab = _load_model(cfg)
     if mc.conv_cells != featurestore.CONV_CELLS:  # a map covers the image
         raise ValidationError(
             f"checkpoint {cfg.checkpoint} reads {mc.conv_cells} conv cells; "
             f"a heat map needs the pack's whole grid of "
             f"{featurestore.CONV_CELLS}")
-    cfg = replace(cfg, preset=None, hidden=mc.hidden, mode=mc.mode)
-    records, packs, _ = _open_run(cfg, split="test")
+    records, packs = _open_run(cfg, split="test")
+    _prepare_out(cfg, mc, params["W_img"].dtype)
     for rec, trace in zip(records, qamodel.attention_traces(
             records, packs, params, vocab, mc)):
         evalkit.export_heatmap_image(evalkit.attention_heatmap(trace),
@@ -304,25 +302,39 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "synth": _cmd_synth, "split": _cmd_split, "train": _cmd_train,
-    "eval": _cmd_eval, "gradcheck": _cmd_gradcheck, "stats": _cmd_stats,
-    "heatmap": _cmd_heatmap,
+# command: (function, the paths it requires, in the order `run` checks them,
+# the other flags it reads); "splits" is --splits, or --splits-seed without it
+_COMMAND_TABLE = {
+    "synth": (_cmd_synth, (), ("n_telling", "n_pointing", "seed")),
+    "split": (_cmd_split, ("corpus",), ("splits_seed",)),
+    "train": (_cmd_train, ("corpus", "features"), ("splits", "preset",
+              "hidden", "mode", "epochs", "batch", "lr", "seed")),
+    "eval": (_cmd_eval, ("checkpoint", "corpus", "features"),
+             ("splits", "mode")),
+    "gradcheck": (_cmd_gradcheck, (), ("preset", "hidden", "mode", "seed")),
+    "stats": (_cmd_stats, ("corpus",), ()),
+    "heatmap": (_cmd_heatmap, ("checkpoint", "corpus", "features"),
+                ("splits", "mode")),
 }
-COMMANDS = tuple(_DISPATCH)
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run(cfg: RunConfig) -> int:
     if not cfg.out:
         raise UsageError("--out is required")
-    return _DISPATCH[cfg.command](cfg)
+    function, required, _ = _COMMAND_TABLE[cfg.command]
+    for name in required:
+        path = getattr(cfg, name)
+        if path is None or not os.path.exists(path):
+            raise UsageError(f"--{name} is required" if path is None
+                             else f"--{name}: no such path {path!r}")
+    return function(cfg)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
+        return run(parse_config(argv))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         print("commands: " + " | ".join(COMMANDS), file=sys.stderr)

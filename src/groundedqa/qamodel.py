@@ -61,8 +61,8 @@ held; only the later passes of a `batch_loss_and_grads` call add.
 Every pass computes in its params' dtype. `train`, `eval` and `heatmap`
 run float32; gradient checks and the reference comparisons run float64 or
 wider. All tensors of one params dict share a dtype, and pack features are
-cast to it as a pass reads them (`slice_pack`, `_gather`), so a float64
-pack never widens a float32 pass.
+copied to it as a pass reads them (`_gather`, `slice_pack`), so a float64
+pack never widens a float32 pass, and no product reads an unaligned view.
 
 Checkpoint v5, a `binfmt` container: magic b"V7WM", u16 version 5, the
 `_CFG_FIELDS` as i64, the attention mode and then the tensor dtype (<f4 or
@@ -479,12 +479,11 @@ def _feature_dtype(dtype) -> np.dtype:
 
 
 def slice_pack(pack, cfg: ModelConfig, dtype=np.float64):
-    """A (possibly full-scale) pack at this config's dimensions, in the
-    feature dtype of a pass in `dtype`; no copy when it already has it."""
+    """A (possibly full-scale) pack at this config's dimensions, copied to
+    aligned arrays of the feature dtype of a pass in `dtype`."""
     fdtype = _feature_dtype(dtype)
-    return (pack.global_feature[:cfg.feat_dim].astype(fdtype, copy=False),
-            pack.conv_map[:cfg.conv_cells, :cfg.conv_channels].astype(
-                fdtype, copy=False))
+    return (pack.global_feature[:cfg.feat_dim].astype(fdtype),
+            pack.conv_map[:cfg.conv_cells, :cfg.conv_channels].astype(fdtype))
 
 
 def encode(pack, question_tokens, params, cfg) -> EncoderState:
@@ -866,7 +865,7 @@ class _Example:
 def _gather(examples, packs, cfg, dtype):
     """
     A pass's inputs (feat (B, feat_dim), conv (B, cells, channels), F (B, 4,
-    feat_dim), failed) as `slice_pack` casts them: row b holds examples[b]'s
+    feat_dim), failed) in the feature dtype: row b copies examples[b]'s
     features (F's only if it points). Each image's pack is looked up once
     and dropped once its rows are copied. `failed` maps the row of each
     example that could not be read, whose rows are zeroed, to its
@@ -895,7 +894,8 @@ def _gather(examples, packs, cfg, dtype):
         for b in rows:
             ex = examples[b]
             try:
-                feat[b], conv[b] = slice_pack(pack, cfg, dtype)
+                feat[b] = pack.global_feature[:cfg.feat_dim]
+                conv[b] = pack.conv_map[:cfg.conv_cells, :cfg.conv_channels]
                 for k, rid in enumerate(ex.cands or ()):
                     F[b, k] = pack.region_features[rid][:cfg.feat_dim]
             except Exception as e:  # fails this example only

@@ -533,6 +533,44 @@ class TestPipeline:
         assert "command=train" in echo
         assert "epochs=2" in echo
 
+    @pytest.mark.parametrize("command,keys", [
+        ("synth", {"n_telling", "n_pointing", "seed"}),
+        ("split", {"corpus", "splits_seed"}),
+        ("train", {"corpus", "features", "splits", "preset", "epochs",
+                   "batch", "lr", "seed", "hidden", "mode", "vocab_size",
+                   "dtype"}),
+        ("eval", {"checkpoint", "corpus", "features", "splits", "hidden",
+                  "mode", "vocab_size", "dtype"}),
+        ("gradcheck", {"preset", "seed", "hidden", "mode", "vocab_size",
+                       "dtype"}),
+        ("stats", {"corpus"}),
+        ("heatmap", {"checkpoint", "corpus", "features", "splits", "hidden",
+                     "mode", "vocab_size", "dtype"}),
+    ])
+    def test_echo_holds_what_the_command_reads(
+            self, world, full_grid_ckpt, tmp_path, monkeypatch, command,
+            keys):
+        """Given every flag, a command echoes the command, the flags it
+        reads, --out and, when it runs a model, the model's lines."""
+        monkeypatch.setattr(cli, "finite_diff_grad_check",
+                            lambda *args: GradCheckResult(0.0, "W_out"))
+        data = {"split": ["--corpus", world["corpus"]],
+                "stats": ["--corpus", world["corpus"]],
+                "train": ["--corpus", world["corpus"],
+                          "--features", world["features"]]}
+        data["eval"] = data["heatmap"] = [
+            *data["train"], "--splits", world["splits"],
+            "--checkpoint", str(full_grid_ckpt)]
+        out = tmp_path / "o"
+        assert _run(command, *data.get(command, []), "--epochs", "0",
+                    "--batch", "4", "--lr", "0.5", "--seed", "1",
+                    "--n-telling", "1", "--n-pointing", "1",
+                    "--splits-seed", "0", "--out", str(out)) == 0
+        lines = (out / "config.echo.txt").read_text().splitlines()
+        assert lines[0] == f"command={command}"
+        assert {l.split("=")[0] for l in lines} == {
+            "command", "out", *keys}
+
 
 class TestMode:
     """The attention mode is chosen at train and read from the checkpoint."""
@@ -581,8 +619,11 @@ class TestMode:
         lines = (out / name).read_text().splitlines()
         if command == "eval":  # the report's header rows
             lines = [l[2:] for l in lines if l.startswith("# ")]
-        assert {"hidden=8", "mode=uniform"} <= set(lines), lines
-        assert not any(l.startswith("preset=") for l in lines), lines
+        assert {"hidden=8", "mode=uniform", "dtype=float32"} <= set(lines), \
+            lines
+        assert any(l.startswith("vocab_size=") for l in lines), lines
+        assert not any(l.startswith(("epochs=", "n_telling=", "preset="))
+                       for l in lines), lines
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     @pytest.mark.parametrize("source", ["flag", "inline"])
@@ -712,6 +753,19 @@ class TestInputs:
                     "--splits", world["splits"],
                     "--out", str(tmp_path / "o")) == 1
         assert "--checkpoint is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_missing_corpus_stops_the_run_before_the_checkpoint_is_read(
+            self, world, tmp_path, capsys, command):
+        """Every required path is checked before any file is read, so an
+        unreadable checkpoint without --corpus exits 1 on --corpus."""
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(b"not a checkpoint")
+        assert _run(command, "--features", world["features"],
+                    "--splits", world["splits"], "--checkpoint", str(bad),
+                    "--out", str(tmp_path / "o")) == 1
+        assert "--corpus is required" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])

@@ -199,6 +199,20 @@ def test_cli_runs_the_model_in_passes():
     assert found == allowed, sorted(found ^ allowed)
 
 
+def test_the_command_table_reads_every_flag():
+    """
+    Each name in `cli._COMMAND_TABLE` is a `RunConfig` field; each field
+    after `command` is read by at least one command (--out by all, which
+    `run` requires), so no flag is dead; its keys are `cli.COMMANDS`.
+    """
+    flags = {f.name for f in dataclasses.fields(cli.RunConfig)[1:]}
+    read = {"out"}
+    for _, required, reads in cli._COMMAND_TABLE.values():
+        read.update(required, reads)
+    assert read == flags, sorted(read ^ flags)
+    assert tuple(cli._COMMAND_TABLE) == cli.COMMANDS
+
+
 def _load_by_path(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

@@ -295,6 +295,22 @@ class TestLstmStep:
             assert abs(h[unit] - h_hand) < 1e-12
 
 
+class TestSlicePack:
+    @pytest.mark.parametrize("cfg", [ModelConfig.micro(), ModelConfig()])
+    def test_a_pack_read_from_disk_gives_aligned_arrays(self, tmp_path, cfg):
+        """A read pack's arrays are views at its header's offset, which can
+        be odd; the slices come back as owned, aligned arrays."""
+        _, packs = synthdata.synth_corpus(1, 0, 0)
+        (image_id, pack), = packs.items()
+        path = featurestore.pack_path(str(tmp_path), image_id)
+        featurestore.write_feature_pack(pack, path)
+        read = featurestore.read_feature_pack(path)
+        for dtype in (np.float32, np.float64):
+            for arr in qamodel.slice_pack(read, cfg, dtype):
+                assert arr.dtype == dtype
+                assert arr.flags.aligned and arr.flags.owndata
+
+
 class TestEncode:
     def test_zero_params_zero_state(self):
         vocab = vocab20()
