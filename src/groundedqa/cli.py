@@ -138,12 +138,12 @@ def _prepare_out(cfg: RunConfig, mc=None, dtype=None):
     model's hidden, mode, vocab_size and dtype in place of those flags.
     """
     os.makedirs(cfg.out, exist_ok=True)
-    _, required, reads = _COMMAND_TABLE[cfg.command]
+    _, paths, reads = _COMMAND_TABLE[cfg.command]
     model = {} if mc is None else dict(
         hidden=mc.hidden, mode=mc.mode, vocab_size=mc.vocab_size,
         dtype=np.dtype(dtype).name)
     flags = {name: getattr(cfg, name) for name
-             in ("command", *required, *reads, "out") if name not in model}
+             in ("command", *paths, *reads, "out") if name not in model}
     if "splits" in flags and cfg.splits is None:
         flags["splits"] = f"default:{cfg.splits_seed}"
     echo = [f"{k}={v}" for k, v in {**flags, **model}.items() if v is not None]
@@ -302,19 +302,20 @@ def _cmd_heatmap(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# command: (function, the paths it requires, in the order `run` checks them,
-# the other flags it reads); "splits" is --splits, or --splits-seed without it
+# command: (function, the input paths it reads, in the order `run` checks
+# them, the other flags it reads); every path is required but "splits",
+# which is --splits, or --splits-seed without it
 _COMMAND_TABLE = {
     "synth": (_cmd_synth, (), ("n_telling", "n_pointing", "seed")),
     "split": (_cmd_split, ("corpus",), ("splits_seed",)),
-    "train": (_cmd_train, ("corpus", "features"), ("splits", "preset",
+    "train": (_cmd_train, ("corpus", "features", "splits"), ("preset",
               "hidden", "mode", "epochs", "batch", "lr", "seed")),
-    "eval": (_cmd_eval, ("checkpoint", "corpus", "features"),
-             ("splits", "mode")),
+    "eval": (_cmd_eval, ("checkpoint", "corpus", "features", "splits"),
+             ("mode",)),
     "gradcheck": (_cmd_gradcheck, (), ("preset", "hidden", "mode", "seed")),
     "stats": (_cmd_stats, ("corpus",), ()),
-    "heatmap": (_cmd_heatmap, ("checkpoint", "corpus", "features"),
-                ("splits", "mode")),
+    "heatmap": (_cmd_heatmap, ("checkpoint", "corpus", "features",
+                               "splits"), ("mode",)),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 
@@ -322,12 +323,13 @@ COMMANDS = tuple(_COMMAND_TABLE)
 def run(cfg: RunConfig) -> int:
     if not cfg.out:
         raise UsageError("--out is required")
-    function, required, _ = _COMMAND_TABLE[cfg.command]
-    for name in required:
+    function, paths, _ = _COMMAND_TABLE[cfg.command]
+    for name in paths:
         path = getattr(cfg, name)
-        if path is None or not os.path.exists(path):
-            raise UsageError(f"--{name} is required" if path is None
-                             else f"--{name}: no such path {path!r}")
+        if path is None and name != "splits":
+            raise UsageError(f"--{name} is required")
+        if path is not None and not os.path.exists(path):
+            raise UsageError(f"--{name}: no such path {path!r}")
     return function(cfg)
 
 

@@ -48,12 +48,13 @@ projections are a prefix view of its arrays, and maps outcomes back to
 input order. One encoder pass reads every image and question.
 One decode (`_answer_logliks`) then scores every telling candidate of the
 pass: a record's 4 candidates are 4 consecutive rows that its map serves.
-They share step 0, so attention, the `Wh` and `Wr` products and the head
-at the encoder's final state run once per record there; only each
-token's `Wv` input differs, and later tokens run as 4 rows per map. One
-plain `W_ptr` GEMM scores every pointing record's candidates, at any row
-count, and the vocabulary head in fixed blocks of rows, so a record scores
-the same in any pass: `predict_mc`, a pass of one, scores what `eval` does.
+They share step 0, so attention and the `Wh` and `Wr` products run once
+per record there; only each token's `Wv` input differs, and later tokens
+run as 4 rows per map. The head reads every answer's states from that
+pass, `run.H[0]` (the encoder's final state) too. One plain `W_ptr` GEMM
+scores every pointing record's candidates, at any row count, and the
+vocabulary head runs in fixed blocks of rows, so a record scores the same
+in any pass: `predict_mc`, a pass of one, scores what `eval` does.
 
 Every public loss function sets `grads` to its gradients, whatever it
 held; only the later passes of a `batch_loss_and_grads` call add.
@@ -496,17 +497,17 @@ def encode(pack, question_tokens, params, cfg) -> EncoderState:
                         proj=run.proj)
 
 
-def _answer_head(params, hs, targets, src=None):
-    """Vocabulary softmax at each row of hs -> (probs, log p(target)), each
-    target read at its row src[i] of hs (by default row i). The logits are
-    one GEMM per zero-padded block of 4 * PASS_RECORDS rows, so a row's bits
-    depend neither on its position nor on how many rows there are."""
+def _answer_head(params, hs, targets):
+    """Vocabulary softmax at each row of hs -> (probs, log p(target)), row i
+    predicting targets[i]. The logits are one GEMM per zero-padded block of
+    4 * PASS_RECORDS rows, so a row's bits depend neither on its position
+    nor on how many rows there are."""
     rows = 4 * PASS_RECORDS
     blocks = np.pad(hs, ((0, -len(hs) % rows), (0, 0)))
     logits = blocks.reshape(-1, rows, hs.shape[1]) @ params["W_out"].T
     probs = softmax_rows(np.vstack(logits)[:len(hs)] + params["b_out"])
-    src = np.arange(len(targets)) if src is None else src
-    return probs, np.log(np.maximum(probs[src, targets], 1e-12))
+    return probs, np.log(np.maximum(probs[np.arange(len(hs)), targets],
+                                    1e-12))
 
 
 def _pointing_head(params, F, h):
@@ -530,26 +531,19 @@ def _answer_logliks(params, mode, conv, proj, h, c, answers):
     tokens plus the end token, no length normalization. Answers [m*k,
     (m+1)*k), with k = len(answers) / M, continue the attended cell of map
     m of conv (M, cells, channels) from its state (h[m], c[m]); `proj` is
-    the maps' projection, or None. One pass decodes them all, and a map's
-    answers share their first step and the head at h[m].
+    the maps' projection, or None. One pass decodes them all, and the head
+    reads each answer's states from it, `run.H[0]` (its map's h[m]) too.
     """
     ids, lengths = _pad(answers)
     run = _forward(params, conv, ids, lengths, mode, h0=h, c0=c, proj=proj)
-    # the state before each answer token, and after the last, predicts it
-    # and then END: for the first token that is h[m], row b // k of the
-    # head's rows, and for the rest the answer's states after its tokens
-    k = len(answers) // len(h)
-    src, firsts, later = [], [], len(h)
-    for b, m in enumerate(lengths):
-        firsts.append(len(src))
-        src += [b // k, *range(later, later + m)]
-        later += m
-    steps = np.concatenate([np.arange(1, m + 1) for m in lengths])
-    rows = np.repeat(np.arange(len(answers)), lengths)
-    _, logp = _answer_head(params, np.concatenate([h, run.H[steps, rows]]),
-                           np.concatenate([a + [END_INDEX] for a in answers]),
-                           src)
-    return np.add.reduceat(logp, firsts)
+    # answer a's states H[0..len(a)], before each token and after the last,
+    # predict its tokens and then END
+    counts = lengths + 1
+    steps = np.concatenate([np.arange(k) for k in counts])
+    rows = np.repeat(np.arange(len(answers)), counts)
+    _, logp = _answer_head(params, run.H[steps, rows],
+                           np.concatenate([a + [END_INDEX] for a in answers]))
+    return np.add.reduceat(logp, np.cumsum(counts) - counts)
 
 
 def telling_answer_loglik(state: EncoderState, answer_tokens, params) -> float:

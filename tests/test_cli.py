@@ -768,6 +768,21 @@ class TestInputs:
         assert "--corpus is required" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap"])
+    def test_missing_splits_path_is_usage_error(
+            self, world, untrained_ckpt, tmp_path, capsys, command):
+        """A missing --splits exits 1, as a missing --corpus does, before
+        any file is read or written."""
+        missing = str(tmp_path / "nonexistent" / "s.tsv")
+        argv = [command, "--corpus", world["corpus"], "--features",
+                world["features"], "--splits", missing]
+        if command != "train":
+            argv += ["--checkpoint", str(untrained_ckpt)]
+        assert _run(*argv, "--out", str(tmp_path / "o")) == 1
+        assert f"--splits: no such path {missing!r}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_telling_candidate_without_a_word_leaves_no_out(
             self, world, trained_run, tmp_path, capsys, command):

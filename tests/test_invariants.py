@@ -207,8 +207,8 @@ def test_the_command_table_reads_every_flag():
     """
     flags = {f.name for f in dataclasses.fields(cli.RunConfig)[1:]}
     read = {"out"}
-    for _, required, reads in cli._COMMAND_TABLE.values():
-        read.update(required, reads)
+    for _, paths, reads in cli._COMMAND_TABLE.values():
+        read.update(paths, reads)
     assert read == flags, sorted(read ^ flags)
     assert tuple(cli._COMMAND_TABLE) == cli.COMMANDS
 

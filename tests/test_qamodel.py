@@ -685,9 +685,12 @@ class TestPredictBatch:
         Each record's `predict_batch` outcome, `predict_mc` outcome,
         `attention_traces` trace and `batch_loss_and_grads` loss are bitwise
         its values in the whole list's run, over random subsets and orders
-        of 1 to PASS_RECORDS records: among them one-record passes and
-        passes with exactly one telling record. Worlds: synth 8+8 at paper
-        scale in float32, and `_mixed_world` (11 records) in float64.
+        of 1 to PASS_RECORDS records: among them one-record passes, passes
+        with exactly one telling record, and passes of exactly 5 and 6
+        telling records (in the paper world their one-token answers take
+        40 and 48 rows of the vocabulary head, just over one block of 32).
+        Worlds: synth 8+8 at paper scale in float32, and `_mixed_world`
+        (11 records) in float64.
         """
         if world == "paper":
             corpus, packs = synthdata.synth_corpus(8, 8, seed=5)
@@ -716,7 +719,8 @@ class TestPredictBatch:
         passes = [rng.sample(records, rng.randint(1, qamodel.PASS_RECORDS))
                   for _ in range(8)]
         passes += [[rng.choice(records)], [rng.choice(point)],
-                   rng.sample(point, 3) + [rng.choice(tell)]]
+                   rng.sample(point, 3) + [rng.choice(tell)],
+                   rng.sample(tell, 5), rng.sample(tell, 6)]
         for batch in passes:
             for rec, got in zip(batch, run(batch)):
                 assert got == whole[rec.qa_id], (rec.qa_id, len(batch))
